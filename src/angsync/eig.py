@@ -1,13 +1,13 @@
 """The spectral estimator: top eigenvector of the phase-offset matrix.
 
 Build the Hermitian matrix H with e^{i delta_ij} at measured pairs, compute
-its top eigenpair by power iteration, and read the angle estimates off the
-entrywise phases of the eigenvector.
+its top (largest algebraic) eigenpair by implicitly restarted Lanczos
+(ARPACK through ``scipy.sparse.linalg.eigsh``), and read the angle estimates
+off the entrywise phases of the eigenvector.
 
-H is indefinite (its most negative eigenvalue can rival the top one), so the
-iteration runs on H + cI with c equal to the row-sum norm.  That makes the
-target eigenvalue dominant in modulus without changing eigenvectors; c is
-subtracted again on exit.
+The iteration budget counts applications of H.  Convergence is decided by an
+explicit residual check on the returned pair, not by ARPACK's own flag, and
+a run that spends its budget returns a result flagged non-converged.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .core import (
     AngleEstimate,
@@ -49,23 +50,32 @@ def default_max_iters(n: int) -> int:
 
 
 @dataclass(frozen=True)
-class PowerIterationResult:
+class EigpairResult:
     eigval: float
     eigvec: np.ndarray
-    iterations: int
+    iterations: int  # applications of H, the residual check included
     residual: float  # relative: ||Hv - lambda v|| / |lambda|
     converged: bool
-    shift: float  # internal modulus-dominance shift, diagnostics only
+
+
+class _BudgetSpent(Exception):
+    """Raised from inside the eigensolver once the application budget is used."""
 
 
 def top_eigpair(H: SyncMatrix, tol: float = 1e-10, max_iters: int | None = None,
-                seed: int = 0) -> PowerIterationResult:
-    """Top eigenpair of H by shifted power iteration.
+                seed: int = 0) -> EigpairResult:
+    """Top (largest algebraic) eigenpair of H by implicitly restarted Lanczos.
 
-    Converged when ||Hv - lambda v|| <= tol * |lambda| with lambda the Rayleigh
-    quotient at v; otherwise returns the last iterate flagged non-converged.
-    The start vector is seeded random complex, deterministic given `seed` (a
-    deterministic all-ones start can be orthogonal to the target by symmetry).
+    ARPACK (``eigsh``) runs on a counting operator over `H.matvec`.
+    `max_iters` budgets applications of H, including the one explicit
+    residual check on return: converged means ||Hv - lambda v|| <= tol *
+    |lambda| with lambda the Rayleigh quotient at the returned unit v.  When
+    the budget runs out the result is flagged non-converged, not raised, with
+    `iterations == max_iters`; its vector is the one of largest Rayleigh
+    quotient among those H was applied to (at worst the start vector).  The
+    start vector is seeded random complex, so the same seed gives the same
+    eigenvector bit for bit.  For n < 3, where ARPACK cannot take k = 1, the
+    pair comes from a dense ``eigh``.
     """
     if tol <= 0:
         raise InvalidInputError("tol must be > 0")
@@ -76,29 +86,43 @@ def top_eigpair(H: SyncMatrix, tol: float = 1e-10, max_iters: int | None = None,
     if H.nnz_offdiag == 0 and H.diagonal_shift == 0.0:
         raise ZeroMatrixError("sync matrix has no nonzero entries")
 
-    c = H.infinity_norm()
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(17,)))
     v = rng.normal(size=H.n) + 1j * rng.normal(size=H.n)
     v /= np.linalg.norm(v)
 
-    lam = 0.0
-    rel = np.inf
-    for it in range(1, max_iters + 1):
-        w = H.matvec(v) + c * v
-        lam_shifted = float(np.vdot(v, w).real)
-        resid = float(np.linalg.norm(w - lam_shifted * v))  # shift-invariant
-        lam = lam_shifted - c
-        rel = resid / abs(lam) if lam != 0.0 else np.inf
-        if resid <= tol * abs(lam):
-            return PowerIterationResult(lam, v, it, rel, True, c)
-        norm_w = np.linalg.norm(w)
-        if norm_w == 0.0:
-            # start vector fell in the kernel of H + cI; redraw and continue
-            v = rng.normal(size=H.n) + 1j * rng.normal(size=H.n)
-            v /= np.linalg.norm(v)
-            continue
-        v = w / norm_w
-    return PowerIterationResult(lam, v, max_iters, rel, False, c)
+    # One application is held back for the residual check on return.
+    applied = 0
+    best_rq, best = -np.inf, v
+
+    def counted_matvec(x):
+        nonlocal applied, best_rq, best
+        if applied >= max_iters - 1:
+            raise _BudgetSpent
+        applied += 1
+        y = H.matvec(x)
+        nrm = np.linalg.norm(x)
+        rq = float(np.vdot(x, y).real) / nrm**2
+        if rq > best_rq:
+            best_rq, best = rq, x / nrm
+        return y
+
+    if H.n < 3:
+        v = np.linalg.eigh(H.to_dense())[1][:, -1]
+    else:
+        op = LinearOperator((H.n, H.n), matvec=counted_matvec, dtype=np.complex128)
+        try:
+            _, vecs = eigsh(op, k=1, which="LA", v0=v, tol=tol, maxiter=max_iters,
+                            rng=rng)
+            v = vecs[:, 0] / np.linalg.norm(vecs[:, 0])
+        except (_BudgetSpent, ArpackNoConvergence):
+            v = best
+
+    w = H.matvec(v)
+    lam = float(np.vdot(v, w).real)
+    resid = float(np.linalg.norm(w - lam * v))
+    rel = resid / abs(lam) if lam != 0.0 else np.inf
+    converged = resid <= tol * abs(lam)
+    return EigpairResult(lam, v, applied + 1, rel, converged)
 
 
 def round_to_angles(eigvec: np.ndarray):
@@ -123,7 +147,7 @@ class EigOptions:
 
 
 def estimate_eig(graph: OffsetGraph, opts: EigOptions | None = None) -> AngleEstimate:
-    """End-to-end spectral estimate: build H, power-iterate, round to angles."""
+    """End-to-end spectral estimate: build H, take its top eigenpair, round to angles."""
     opts = opts or EigOptions()
     t0 = time.perf_counter()
     H = build_sync_matrix(graph, opts.diagonal_shift)
@@ -138,7 +162,6 @@ def estimate_eig(graph: OffsetGraph, opts: EigOptions | None = None) -> AngleEst
         method_tag="eig",
         diagnostics={
             "converged": res.converged,
-            "shift": res.shift,
             "diagonal_shift": opts.diagonal_shift,
             "flagged": flagged.tolist(),
             "wall_ms": 1e3 * (time.perf_counter() - t0),

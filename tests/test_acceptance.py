@@ -210,7 +210,7 @@ def test_criterion_7_spherical_harmonic_multiplicities():
 def test_criterion_8_property_suite():
     checks = {}
 
-    # power iteration matches a dense eigendecomposition at small n
+    # top_eigpair matches a dense eigendecomposition at small n
     graph, _ = gen_complete(CompleteModelParams(n=12, p=0.7, seed=BASE_SEED))
     H = build_sync_matrix(graph)
     res = top_eigpair(H, tol=1e-12, max_iters=100000, seed=1)

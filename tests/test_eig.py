@@ -57,11 +57,6 @@ class TestBuildSyncMatrix:
         assert H.nnz_offdiag == 2 * graph.m
         assert np.allclose(np.abs(H.entries.data), 1.0)
 
-    def test_infinity_norm(self):
-        g = OffsetGraph(n=3, i=[0, 0], j=[1, 2], delta=[0.0, 1.0])
-        H = build_sync_matrix(g, diagonal_shift=-0.5)
-        assert H.infinity_norm() == 2.5  # max degree 2 plus |shift|
-
 
 class TestTopEigpair:
     def test_two_by_two(self):
@@ -95,9 +90,38 @@ class TestTopEigpair:
 
     def test_nonconvergence_flagged_not_raised(self):
         graph, _ = gen_complete(CompleteModelParams(n=40, p=0.3, seed=2))
-        res = top_eigpair(build_sync_matrix(graph), tol=1e-14, max_iters=2, seed=0)
-        assert not res.converged
-        assert res.iterations == 2
+        for max_iters in (1, 2, 5):
+            res = top_eigpair(build_sync_matrix(graph), tol=1e-14, max_iters=max_iters,
+                              seed=0)
+            assert not res.converged
+            assert res.iterations == max_iters
+            assert abs(np.linalg.norm(res.eigvec) - 1.0) < 1e-12
+
+    def test_converged_run_counts_applications_below_budget(self):
+        graph, _ = gen_complete(CompleteModelParams(n=60, p=0.5, seed=7))
+        H = build_sync_matrix(graph)
+        calls = []
+
+        class CountingH:
+            n, nnz_offdiag, diagonal_shift = H.n, H.nnz_offdiag, H.diagonal_shift
+
+            def matvec(self, v):
+                calls.append(1)
+                return H.matvec(v)
+
+        res = top_eigpair(CountingH(), tol=1e-10, max_iters=500, seed=0)
+        assert res.converged
+        assert res.iterations == len(calls) < 500
+
+    def test_near_threshold_converges(self):
+        # n p^2 = 1, the recovery threshold: the spectral gap is small there
+        graph, _ = gen_complete(CompleteModelParams(n=400, p=0.05, seed=1))
+        H = build_sync_matrix(graph)
+        res = top_eigpair(H, tol=1e-8, max_iters=2000, seed=1)
+        assert res.converged
+        w, V = np.linalg.eigh(H.to_dense())
+        assert res.eigval == pytest.approx(w[-1], rel=1e-8)
+        assert abs(np.vdot(res.eigvec, V[:, -1])) >= 1 - 1e-6
 
     def test_deterministic_given_seed(self):
         graph, _ = gen_complete(CompleteModelParams(n=30, p=0.5, seed=6))
