@@ -137,9 +137,7 @@ def gen_small_world(params: SmallWorldParams):
     n = params.n
     pts = _sphere_points(_rng(params.seed, _STREAM_GRAPH), n)
     gram = pts @ pts.T
-    iu, ju = np.triu_indices(n, k=1)
-    near = gram[iu, ju] > 1.0 - params.epsilon
-    base_i, base_j = iu[near], ju[near]
+    base_i, base_j = np.nonzero(np.triu(gram > 1.0 - params.epsilon, 1))
     m = base_i.size
 
     theta = _rng(params.seed, _STREAM_ANGLES).uniform(0.0, TWO_PI, n)

@@ -230,7 +230,41 @@ class TestEstimateEig:
             assert abs(np.mean(vals) - predicted) < 0.05
 
 
+def reference_triangle_score(graph, sample_size, seed):
+    """The score by dict and set lookups, edge by edge, as a reference."""
+    signed = {(int(a), int(b)): float(d) for a, b, d in zip(graph.i, graph.j, graph.delta)}
+    neighbors = [set() for _ in range(graph.n)]
+    for a, b in signed:
+        neighbors[a].add(b)
+        neighbors[b].add(a)
+
+    def offset(a, b):
+        return signed[(a, b)] if a < b else -signed[(b, a)]
+
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(29,)))
+    total, count = 0.0, 0
+    for e in rng.permutation(graph.m):
+        a, b = int(graph.i[e]), int(graph.j[e])
+        for k in sorted(neighbors[a] & neighbors[b]):
+            total += abs(np.exp(1j * (offset(a, b) + offset(b, k) + offset(k, a))) - 1.0)
+            count += 1
+            if count >= sample_size:
+                return total / count
+    return total / count
+
+
 class TestTriangleConsistency:
+    @pytest.mark.parametrize("gen, params", [
+        (gen_small_world, SmallWorldParams(n=150, epsilon=0.2, p=0.5, seed=9)),
+        (gen_complete, CompleteModelParams(n=40, p=0.3, seed=1)),
+    ], ids=["small-world", "complete"])
+    def test_matches_reference_to_the_bit(self, gen, params):
+        graph, _ = gen(params)
+        for seed in (0, 1, 2):
+            for sample_size in (1, 300, 10**7):
+                assert (triangle_consistency_score(graph, sample_size, seed=seed)
+                        == reference_triangle_score(graph, sample_size, seed))
+
     def test_all_good_is_zero(self):
         graph, _ = gen_complete(CompleteModelParams(n=15, p=1.0, seed=3))
         assert triangle_consistency_score(graph, 300, seed=1) < 1e-9
@@ -248,6 +282,12 @@ class TestTriangleConsistency:
         graph, _ = gen_complete(CompleteModelParams(n=50, p=0.0, seed=6))
         score = triangle_consistency_score(graph, 4000, seed=2)
         assert abs(score - oracle) < 0.08
+
+    def test_pinned_score(self):
+        # exact value recorded before the score moved from dict and set
+        # lookups to a CSR of signed offsets; the summation order is unchanged
+        graph, _ = gen_small_world(SmallWorldParams(n=400, epsilon=0.2, p=0.5, seed=3))
+        assert triangle_consistency_score(graph, 2000, seed=1) == 0.5620766698977393
 
     def test_no_triangles_raises(self):
         g = OffsetGraph(n=4, i=[0, 1, 2], j=[1, 2, 3], delta=[0.0, 0.0, 0.0])

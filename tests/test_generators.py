@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -122,6 +124,22 @@ class TestSmallWorld:
         assert np.array_equal(a.i, b.i) and np.array_equal(a.j, b.j)
         assert np.array_equal(a.delta, b.delta)
         assert np.array_equal(ta.good_mask, tb.good_mask)
+
+    @pytest.mark.parametrize("params, expected", [
+        (SmallWorldParams(n=300, epsilon=0.2, p=0.5, seed=1),
+         "66d516b105d3b37b4c639c0c42f6ce1aae3b08cdbb705711a0f92a3e3268db1a"),
+        (SmallWorldParams(n=500, epsilon=0.1, p=0.3, seed=2),
+         "aee25ccde1ef003f5bd641ccfd1c70c88328bad878de8d79c87ebd360fdef101"),
+    ], ids=["n300", "n500"])
+    def test_pinned_instance_digest(self, params, expected):
+        # SHA-256 of (i, j, delta, good mask), recorded before the base edges
+        # were taken by np.nonzero instead of triu_indices
+        graph, truth = gen_small_world(params)
+        h = hashlib.sha256()
+        for arr, dtype in ((graph.i, np.int64), (graph.j, np.int64),
+                           (graph.delta, np.float64), (truth.good_mask, np.uint8)):
+            h.update(np.ascontiguousarray(arr.astype(dtype)).tobytes())
+        assert h.hexdigest() == expected
 
 
 class TestClock:

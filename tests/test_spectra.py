@@ -3,7 +3,12 @@ import pytest
 
 from angsync.core import InvalidInputError, OffsetGraph, TooLargeError, reduce_angles
 from angsync.eig import build_sync_matrix, top_eigpair
-from angsync.generators import CompleteModelParams, gen_complete
+from angsync.generators import (
+    CompleteModelParams,
+    SmallWorldParams,
+    gen_complete,
+    gen_small_world,
+)
 from angsync.spectra import cluster_sizes, full_spectrum, histogram, top_k_spectrum
 from angsync.theory import wigner_edge
 
@@ -74,6 +79,28 @@ class TestTopK:
         graph, _ = gen_complete(CompleteModelParams(n=400, p=0.0, seed=9))
         top = top_k_spectrum(build_sync_matrix(graph), 5)
         assert np.all(top <= 1.1 * wigner_edge(400, 0.0))
+
+    @pytest.mark.parametrize("gen, params", [
+        (gen_small_world, SmallWorldParams(n=400, epsilon=0.2, p=1.0, seed=2)),
+        (gen_complete, CompleteModelParams(n=400, p=0.0, seed=9)),  # no spectral gap
+    ], ids=["small-world", "complete-p0"])
+    def test_matches_dense_eigvalsh(self, gen, params):
+        H = build_sync_matrix(gen(params)[0])
+        dense = np.linalg.eigvalsh(H.to_dense())[::-1][:9]
+        top = top_k_spectrum(H, 9)
+        assert np.all(np.diff(top) <= 0)
+        assert np.max(np.abs(top - dense)) <= 1e-10 * abs(dense[0])
+
+    def test_repeat_calls_bit_identical(self):
+        graph, _ = gen_small_world(SmallWorldParams(n=300, epsilon=0.2, p=0.5, seed=4))
+        H = build_sync_matrix(graph)
+        assert np.array_equal(top_k_spectrum(H, 9), top_k_spectrum(H, 9))
+
+    def test_dense_fallback_for_k_from_n_minus_one(self):
+        graph, _ = gen_complete(CompleteModelParams(n=10, p=0.5, seed=0))
+        H = build_sync_matrix(graph, diagonal_shift=0.2)
+        for k in (9, 10):
+            assert np.array_equal(top_k_spectrum(H, k), full_spectrum(H)[:k])
 
     def test_k_validation(self):
         graph, _ = gen_complete(CompleteModelParams(n=10, p=1.0, seed=0))
