@@ -131,6 +131,13 @@ def _solve_one(graph, method: str, tol: float, max_iters, shift: float, seed: in
 
 
 def cmd_solve(args) -> int:
+    if args.method == "sdp":
+        given = [flag for flag, value in (("--tol", args.tol),
+                                          ("--max-iters", args.max_iters))
+                 if value is not None]
+        if given:
+            raise AngsyncError(f"{' and '.join(given)} not supported by --method sdp")
+    tol = 1e-10 if args.tol is None else args.tol
     path = Path(args.instance)
     if not path.exists():
         raise AngsyncError(f"no such instance file: {path}")
@@ -138,7 +145,7 @@ def cmd_solve(args) -> int:
     truth = _load_truth(path, mask)
 
     t0 = time.perf_counter()
-    est = _solve_one(graph, args.method, args.tol, args.max_iters,
+    est = _solve_one(graph, args.method, tol, args.max_iters,
                      args.shift, args.seed)
     wall_ms = 1e3 * (time.perf_counter() - t0)
     objective = baselines.sdp_objective(graph, est.theta_hat)
@@ -322,8 +329,10 @@ def build_parser() -> argparse.ArgumentParser:
     slv = sub.add_parser("solve", help="run one solver on an instance file")
     slv.add_argument("instance")
     slv.add_argument("--method", choices=["eig", "sdp", "lsqr"], default="eig")
-    slv.add_argument("--tol", type=float, default=1e-10)
-    slv.add_argument("--max-iters", type=int, default=None)
+    slv.add_argument("--tol", type=float, default=None,
+                     help="convergence tolerance (eig, lsqr; default 1e-10)")
+    slv.add_argument("--max-iters", type=int, default=None,
+                     help="iteration budget (eig, lsqr; default per method)")
     slv.add_argument("--shift", type=float, default=0.0,
                      help="diagonal shift for the sync matrix (eig only)")
     slv.add_argument("--seed", type=int, default=0)

@@ -88,8 +88,10 @@ class OffsetGraph:
         n = int(self.n)
         i = np.asarray(self.i, dtype=np.int64).copy()
         j = np.asarray(self.j, dtype=np.int64).copy()
-        delta = reduce_angles(np.asarray(self.delta, dtype=np.float64))
-        delta = np.atleast_1d(delta).copy()
+        delta = np.asarray(self.delta, dtype=np.float64)
+        if not np.isfinite(delta).all():
+            raise InvalidInputError("offsets must be finite")
+        delta = np.atleast_1d(reduce_angles(delta)).copy()
         if n < 1:
             raise InvalidInputError(f"need n >= 1, got {n}")
         if not (i.ndim == j.ndim == delta.ndim == 1 and i.size == j.size == delta.size):
@@ -307,59 +309,87 @@ def is_connected(graph: OffsetGraph) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Instance file format (text): comment lines start with '#'; first data line
+# Instance file format (text): whole-line comments start with '#'; first data line
 # is "n m"; then one edge per line, "i j delta" with delta printed to 17
 # significant digits, plus an optional trailing column g in {0,1} flagging a
 # ground-truth good edge.  Either every edge row carries g or none does.
 
+_EDGE_FIELDS = [("i", np.int64), ("j", np.int64), ("delta", np.float64), ("good", np.int64)]
+
+
 def write_instance(path, graph: OffsetGraph, good_mask=None) -> None:
-    path = Path(path)
-    lines = [f"{graph.n} {graph.m}"]
-    if good_mask is None:
-        for a, b, d in zip(graph.i, graph.j, graph.delta):
-            lines.append(f"{a} {b} {d:.17g}")
-    else:
+    """Write `graph` (and optionally a per-edge good mask) as an instance file.
+
+    One "i j delta" row per edge in stored order, delta as %.17g so it reads
+    back bit-identical; with `good_mask`, each row gains a 0/1 flag column.
+    Raises InvalidInputError if `good_mask` does not have one entry per edge.
+    """
+    cols = [graph.i.tolist(), graph.j.tolist(), graph.delta.tolist()]
+    fmt = "%d %d %.17g"
+    if good_mask is not None:
         good = np.asarray(good_mask, dtype=bool)
         if good.size != graph.m:
             raise InvalidInputError("good_mask length != m")
-        for a, b, d, g in zip(graph.i, graph.j, graph.delta, good):
-            lines.append(f"{a} {b} {d:.17g} {int(g)}")
-    path.write_text("\n".join(lines) + "\n")
+        cols.append(good.tolist())
+        fmt += " %d"
+    rows = map(fmt.__mod__, zip(*cols))
+    Path(path).write_text("\n".join([f"{graph.n} {graph.m}", *rows]) + "\n")
 
 
 def read_instance(path):
-    """Read an instance file. Returns (OffsetGraph, good_mask or None)."""
-    rows = []
-    header = None
-    for raw in Path(path).read_text().splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if header is None:
-            header = line.split()
-            continue
-        rows.append(line.split())
-    if header is None or len(header) != 2:
+    """Read an instance file. Returns (OffsetGraph, good_mask or None).
+
+    Blank lines and whole-line comments (first non-blank character '#') are
+    skipped anywhere; a '#' after data on a row is not a comment and makes
+    the row invalid.  The first data line is the header "n m"; then exactly
+    m edge rows "i j delta", or "i j delta g" with g in {0, 1}, all of one
+    width.  The good mask is None for 3-column rows and for m = 0.
+
+    Raises InvalidInputError for: no header or a header without exactly two
+    tokens ("missing 'n m' header"); non-integer n or m ("bad header"); rows
+    not uniformly 3 or 4 columns wide; a token that does not parse as its
+    column's type, integers for i, j and g ("unparsable edge row"); a flag
+    outside {0, 1}; a row count other than m; and anything OffsetGraph
+    rejects (index order, duplicate pairs, non-finite delta).
+    """
+    text = Path(path).read_text()
+    lines = text.splitlines()
+    data = (k for k, raw in enumerate(lines)
+            if raw.strip() and not raw.lstrip().startswith("#"))
+    head = next(data, None)
+    header = lines[head].split() if head is not None else []
+    if len(header) != 2:
         raise InvalidInputError(f"{path}: missing 'n m' header")
     try:
         n, m = int(header[0]), int(header[1])
     except ValueError as exc:
         raise InvalidInputError(f"{path}: bad header {header!r}") from exc
-    if len(rows) != m:
-        raise InvalidInputError(f"{path}: expected {m} edge rows, found {len(rows)}")
-    widths = {len(r) for r in rows}
-    if widths - {3, 4} or len(widths) > 1:
-        raise InvalidInputError(f"{path}: edge rows must uniformly have 3 or 4 columns")
-    try:
-        i = np.array([int(r[0]) for r in rows], dtype=np.int64)
-        j = np.array([int(r[1]) for r in rows], dtype=np.int64)
-        delta = np.array([float(r[2]) for r in rows], dtype=np.float64)
-        mask = None
-        if widths == {4}:
-            flags = [int(r[3]) for r in rows]
-            if any(f not in (0, 1) for f in flags):
-                raise InvalidInputError(f"{path}: good flag must be 0 or 1")
-            mask = np.array(flags, dtype=bool)
-    except ValueError as exc:
-        raise InvalidInputError(f"{path}: unparsable edge row") from exc
-    return OffsetGraph(n=n, i=i, j=j, delta=delta), mask
+
+    bad_width = f"{path}: edge rows must uniformly have 3 or 4 columns"
+    first = next(data, None)
+    if first is None:
+        width, edges = 3, np.zeros(0, dtype=_EDGE_FIELDS[:3])
+    else:
+        # the first edge row's width picks the dtype; loadtxt rejects any
+        # other width and, with comments=None, any trailing '#'
+        width = len(lines[first].split())
+        if width not in (3, 4):
+            raise InvalidInputError(bad_width)
+        rows = lines[first:]
+        if "#" in text:  # files from write_instance have none; skip the scan
+            rows = [r for r in rows if not r.lstrip().startswith("#")]
+        try:
+            edges = np.loadtxt(rows, dtype=_EDGE_FIELDS[:width], comments=None, ndmin=1)
+        except ValueError as exc:
+            if "columns" in str(exc):
+                raise InvalidInputError(bad_width) from exc
+            raise InvalidInputError(f"{path}: unparsable edge row") from exc
+    if edges.size != m:
+        raise InvalidInputError(f"{path}: expected {m} edge rows, found {edges.size}")
+    mask = None
+    if width == 4:
+        flags = edges["good"]
+        if not np.all((flags == 0) | (flags == 1)):
+            raise InvalidInputError(f"{path}: good flag must be 0 or 1")
+        mask = flags.astype(bool)
+    return OffsetGraph(n=n, i=edges["i"], j=edges["j"], delta=edges["delta"]), mask

@@ -86,6 +86,35 @@ class TestSolve:
                     "--max-iters", "2", "--strict"])
         assert code == 3
 
+    @pytest.mark.parametrize("flag, value", [("--tol", "1e-6"),
+                                             ("--max-iters", "50")])
+    def test_sdp_rejects_eig_flags(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "inst.txt"
+        run(["generate", "--model", "complete", "--n", "8", "--p", "1",
+             "--seed", "2", "--out", str(out)])
+        capsys.readouterr()
+        assert run(["solve", str(out), "--method", "sdp", flag, value]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and flag in err
+
+    @pytest.mark.parametrize("method", ["eig", "lsqr"])
+    @pytest.mark.parametrize("flag, value", [("--tol", "1e-6"),
+                                             ("--max-iters", "50")])
+    def test_eig_and_lsqr_accept_flags(self, tmp_path, capsys, method, flag, value):
+        out = tmp_path / "inst.txt"
+        run(["generate", "--model", "complete", "--n", "8", "--p", "1",
+             "--seed", "2", "--out", str(out)])
+        assert run(["solve", str(out), "--method", method, flag, value]) == 0
+        assert "rho1=1.0000" in capsys.readouterr().out
+
+    def test_max_iters_reaches_lsqr(self, tmp_path, capsys):
+        out = tmp_path / "inst.txt"
+        run(["generate", "--model", "complete", "--n", "40", "--p", "0.5",
+             "--seed", "4", "--out", str(out)])
+        assert run(["solve", str(out), "--method", "lsqr", "--tol", "1e-14",
+                    "--max-iters", "1"]) == 0
+        assert "iterations=1 " in capsys.readouterr().out
+
 
 def read_csv(path):
     with open(path) as fh:

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -78,6 +80,11 @@ class TestOffsetGraph:
         g = OffsetGraph(n=3, i=[0], j=[1], delta=[0.2])
         with pytest.raises(ValueError):
             g.delta[0] = 1.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_offsets(self, bad):
+        with pytest.raises(InvalidInputError, match="finite"):
+            OffsetGraph(n=3, i=[0, 0], j=[1, 2], delta=[0.5, bad])
 
     def test_degrees(self):
         g = OffsetGraph(n=4, i=[0, 0, 1], j=[1, 2, 2], delta=[0, 0, 0])
@@ -309,4 +316,89 @@ class TestInstanceFile:
         path = tmp_path / "inst.txt"
         path.write_text("3 2\n0 1 0.5\n")
         with pytest.raises(InvalidInputError):
+            read_instance(path)
+
+    def test_byte_format_pinned(self, tmp_path):
+        # SHA-256 of the files written for this instance by the per-line
+        # f-string writer; any change to the text format shows here.
+        graph, truth = gen_complete(CompleteModelParams(n=6, p=0.5, seed=3))
+        path = tmp_path / "inst.txt"
+        write_instance(path, graph, good_mask=truth.good_mask)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+            "bd7d79ea6bae02b3221ab034928c6f6c57974a743821c9e07cf3c9b96656f920"
+        write_instance(path, graph)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+            "8ff34d80c60e23dc38681ad69f09ff1d85db78bb4bbc0bbdfc60b49f5aa1bfa2"
+
+    def test_roundtrip_extreme_offsets(self, tmp_path):
+        delta = [0.0, 5e-324, np.nextafter(TWO_PI, 0.0), 1e-300, np.pi]
+        graph = OffsetGraph(n=4, i=[0, 0, 0, 1, 2], j=[1, 2, 3, 2, 3], delta=delta)
+        good = np.array([True, False, True, False, True])
+        path = tmp_path / "inst.txt"
+        write_instance(path, graph, good_mask=good)
+        text = path.read_text()
+        assert "\n0 2 4.9406564584124654e-324 0\n" in text
+        assert "\n0 3 6.2831853071795853 1\n" in text
+        back, mask = read_instance(path)
+        assert back.delta.tobytes() == graph.delta.tobytes()
+        assert back.i.tobytes() == graph.i.tobytes()
+        assert back.j.tobytes() == graph.j.tobytes()
+        assert mask.dtype == bool and np.array_equal(mask, good)
+
+    def test_write_rejects_wrong_mask_length(self, tmp_path):
+        graph, _ = gen_complete(CompleteModelParams(n=4, p=1.0, seed=0))
+        with pytest.raises(InvalidInputError, match="good_mask length"):
+            write_instance(tmp_path / "inst.txt", graph, good_mask=[True] * 5)
+
+    def test_empty_instance(self, tmp_path):
+        path = tmp_path / "inst.txt"
+        path.write_text("3 0\n")
+        g, mask = read_instance(path)
+        assert g.n == 3 and g.m == 0 and mask is None
+        write_instance(path, g, good_mask=np.zeros(0, dtype=bool))
+        assert path.read_text() == "3 0\n"
+        assert read_instance(path)[0].m == 0
+
+    def test_blank_and_comment_lines_between_rows_skipped(self, tmp_path):
+        path = tmp_path / "inst.txt"
+        path.write_text("3 3\n0 1 0.5 1\n\n  # between rows\n0 2 0.25 0\n"
+                        "   \n# another\n1 2 1.5 1\n\n")
+        g, mask = read_instance(path)
+        assert g.m == 3
+        assert np.array_equal(g.i, [0, 0, 1]) and np.array_equal(g.j, [1, 2, 2])
+        assert np.array_equal(g.delta, [0.5, 0.25, 1.5])
+        assert np.array_equal(mask, [True, False, True])
+
+    @pytest.mark.parametrize("text, message", [
+        ("3 x\n0 1 0.5\n", "bad header"),
+        ("3 1 2\n0 1 0.5\n", "missing 'n m' header"),
+        ("3 1\n0 y 0.5\n", "unparsable edge row"),
+        ("3 1\n0.5 1 0.5\n", "unparsable edge row"),
+        ("3 1\n0 1 half\n", "unparsable edge row"),
+        ("3 2\n0 1 0.5 1\n0 2 0.5 x\n", "unparsable edge row"),
+        ("3 2\n0 1 0.5 1\n0 2 0.5 2\n", "good flag must be 0 or 1"),
+        ("3 1\n0 1 0.5 -1\n", "good flag must be 0 or 1"),
+        ("3 1\n0 1\n", "3 or 4 columns"),
+        ("3 2\n0 1 0.5\n0 2\n", "3 or 4 columns"),
+        ("3 1\n0 1 0.5 1 1\n", "3 or 4 columns"),
+        ("3 2\n0 1 0.5 1\n0 2 0.5 1 1\n", "3 or 4 columns"),
+        ("3 2\n0 1 0.5\n0 2 0.5 # c\n", "3 or 4 columns"),
+        ("3 2\n0 1 0.5\n0 2 0.5 #c\n", "3 or 4 columns"),
+        ("3 2\n0 1 0.5 1\n0 2 0.5 1 # c\n", "3 or 4 columns"),
+        ("3 2\n0 1 0.5 1\n0 2 0.5 1#c\n", "unparsable edge row"),
+        ("3 3\n0 1 0.5\n0 2 0.5\n", "expected 3 edge rows, found 2"),
+        ("3 1\n0 1 0.5\n0 2 0.5\n", "expected 1 edge rows, found 2"),
+        ("3 0\n0 1 0.5\n", "expected 0 edge rows, found 1"),
+    ])
+    def test_malformed_rejected(self, tmp_path, text, message):
+        path = tmp_path / "inst.txt"
+        path.write_text(text)
+        with pytest.raises(InvalidInputError, match=message):
+            read_instance(path)
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    def test_non_finite_offset_rejected(self, tmp_path, token):
+        path = tmp_path / "inst.txt"
+        path.write_text(f"3 2\n0 1 0.5\n0 2 {token}\n")
+        with pytest.raises(InvalidInputError, match="finite"):
             read_instance(path)
