@@ -100,7 +100,9 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _load_truth(instance_path, fallback_mask):
+def _load_truth(instance_path, file_mask):
+    """Planted angles from the sidecar; the good mask from the instance file's
+    flag column, or from the `good_mask` list of a schema-1 sidecar."""
     meta_path = _sidecar_path(instance_path)
     if not meta_path.exists():
         return None
@@ -108,11 +110,23 @@ def _load_truth(instance_path, fallback_mask):
     theta = meta.get("theta")
     if theta is None:
         return None
-    mask = meta.get("good_mask")
-    if mask is None:
-        mask = fallback_mask if fallback_mask is not None else [False] * 0
+    mask = meta.get("good_mask", file_mask)
     return GroundTruth(theta=np.asarray(theta, dtype=float),
-                       good_mask=np.asarray(mask, dtype=bool))
+                       good_mask=np.asarray([] if mask is None else mask, dtype=bool))
+
+
+# Flags a method does not take: given explicitly, they are an error rather
+# than silently dropped.
+_UNSUPPORTED_FLAGS = {"lsqr": ("--shift",), "sdp": ("--tol", "--max-iters", "--shift")}
+
+
+def _reject_unsupported(methods, flags: dict) -> None:
+    """Raise if a flag given (value not None) is one a method does not take."""
+    for method in methods:
+        given = [flag for flag in _UNSUPPORTED_FLAGS.get(method, ())
+                 if flags.get(flag) is not None]
+        if given:
+            raise AngsyncError(f"{' and '.join(given)} not supported by --method {method}")
 
 
 def _solve_one(graph, method: str, tol: float, max_iters, shift: float, seed: int):
@@ -131,13 +145,10 @@ def _solve_one(graph, method: str, tol: float, max_iters, shift: float, seed: in
 
 
 def cmd_solve(args) -> int:
-    if args.method == "sdp":
-        given = [flag for flag, value in (("--tol", args.tol),
-                                          ("--max-iters", args.max_iters))
-                 if value is not None]
-        if given:
-            raise AngsyncError(f"{' and '.join(given)} not supported by --method sdp")
+    _reject_unsupported([args.method], {"--tol": args.tol, "--max-iters": args.max_iters,
+                                        "--shift": args.shift})
     tol = 1e-10 if args.tol is None else args.tol
+    shift = 0.0 if args.shift is None else args.shift
     path = Path(args.instance)
     if not path.exists():
         raise AngsyncError(f"no such instance file: {path}")
@@ -145,8 +156,7 @@ def cmd_solve(args) -> int:
     truth = _load_truth(path, mask)
 
     t0 = time.perf_counter()
-    est = _solve_one(graph, args.method, tol, args.max_iters,
-                     args.shift, args.seed)
+    est = _solve_one(graph, args.method, tol, args.max_iters, shift, args.seed)
     wall_ms = 1e3 * (time.perf_counter() - t0)
     objective = baselines.sdp_objective(graph, est.theta_hat)
 
@@ -207,13 +217,16 @@ def cmd_sweep(args) -> int:
         raise AngsyncError("no methods given")
     if args.trials < 1:
         raise AngsyncError("need trials >= 1")
+    _reject_unsupported(methods, {"--tol": args.tol, "--max-iters": args.max_iters})
+    tol = 1e-8 if args.tol is None else args.tol
+    max_iters = 2000 if args.max_iters is None else args.max_iters
 
     tasks = []
     for p_index, p in enumerate(p_grid):
         for trial in range(args.trials):
             seed = derive_seed(args.seed, p_index, trial)
             tasks.append((args.model, args.n, p, args.epsilon, seed, methods,
-                          args.tol, args.max_iters, args.deterministic))
+                          tol, max_iters, args.deterministic))
 
     if args.workers > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -333,8 +346,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="convergence tolerance (eig, lsqr; default 1e-10)")
     slv.add_argument("--max-iters", type=int, default=None,
                      help="iteration budget (eig, lsqr; default per method)")
-    slv.add_argument("--shift", type=float, default=0.0,
-                     help="diagonal shift for the sync matrix (eig only)")
+    slv.add_argument("--shift", type=float, default=None,
+                     help="diagonal shift for the sync matrix (eig only; default 0)")
     slv.add_argument("--seed", type=int, default=0)
     slv.add_argument("--strict", action="store_true")
     slv.set_defaults(func=cmd_solve)
@@ -348,8 +361,10 @@ def build_parser() -> argparse.ArgumentParser:
     swp.add_argument("--seed", type=int, default=0, help="master seed")
     swp.add_argument("--trials", type=int, default=20)
     swp.add_argument("--method", default="eig", help="comma-separated methods")
-    swp.add_argument("--tol", type=float, default=1e-8)
-    swp.add_argument("--max-iters", type=int, default=2000)
+    swp.add_argument("--tol", type=float, default=None,
+                     help="convergence tolerance (eig, lsqr; default 1e-8)")
+    swp.add_argument("--max-iters", type=int, default=None,
+                     help="iteration budget (eig, lsqr; default 2000)")
     swp.add_argument("--workers", type=int, default=1)
     swp.add_argument("--deterministic", action="store_true",
                      help="zero wall_ms so reruns are byte-identical")

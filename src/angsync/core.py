@@ -287,20 +287,18 @@ def evaluate(graph: OffsetGraph, truth: GroundTruth, estimate: AngleEstimate,
     )
 
 
-def adjacency(graph: OffsetGraph) -> sp.csr_matrix:
-    ones = np.ones(graph.m, dtype=np.int8)
-    a = sp.coo_matrix((np.concatenate([ones, ones]),
-                       (np.concatenate([graph.i, graph.j]),
-                        np.concatenate([graph.j, graph.i]))),
-                      shape=(graph.n, graph.n))
-    return a.tocsr()
-
-
 def connected_component_labels(graph: OffsetGraph):
-    """(component count, per-vertex labels) of the measurement graph."""
-    if graph.m == 0:
-        return graph.n, np.arange(graph.n)
-    return _cc(adjacency(graph), directed=False)
+    """(component count, per-vertex labels) of the measurement graph.
+
+    One CSR of the stored i -> j edges (m entries, rows from a bincount of
+    i) suffices: `connected_components(directed=False)` follows each entry
+    both ways."""
+    n = graph.n
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(graph.i, minlength=n), out=indptr[1:])
+    order = np.argsort(graph.i, kind="stable")
+    edges = sp.csr_matrix((np.ones(graph.m), graph.j[order], indptr), shape=(n, n))
+    return _cc(edges, directed=False)
 
 
 def is_connected(graph: OffsetGraph) -> bool:

@@ -30,6 +30,10 @@ _STREAM_GRAPH = 1     # graph structure (edge presence, sphere points, times)
 _STREAM_NOISE = 2     # outlier labels and outlier offsets / measurement noise
 _STREAM_REWIRE = 3    # small-world rewiring targets
 
+# Sidecar layout written by `instance_metadata`.  Version 1 also held the good
+# mask as a JSON list; version 2 leaves it to the instance file's flag column.
+SIDECAR_SCHEMA_VERSION = 2
+
 
 def _rng(seed: int, stream: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream,)))
@@ -129,11 +133,88 @@ def _sphere_points(rng, n):
     return pts / np.linalg.norm(pts, axis=1, keepdims=True)
 
 
+def _bounded_draws(words, n):
+    """Decode raw PCG64 words into the draws of scalar `integers(0, n)`.
+
+    numpy draws a bounded int64 with range below 2**32 by Lemire's method
+    (arXiv 1805.10941, its `bounded_lemire_uint32`) on successive 32-bit
+    halves of the raw stream, low half first: a half u gives (u*n) >> 32,
+    unless (u*n) mod 2**32 < (2**32 - n) mod n, in which case u is rejected
+    and the next half is tried.  Returns the accepted values and the index of
+    each among the halves.  Exact only for n < 2**32, where u*n fits in 64
+    bits; the dense Gram matrix of `gen_small_world` caps n far below that.
+    """
+    halves = np.empty(2 * words.size, dtype=np.uint64)
+    halves[0::2] = words & 0xFFFFFFFF
+    halves[1::2] = words >> 32
+    scaled = halves * np.uint64(n)
+    accepted = (scaled & 0xFFFFFFFF) >= (2 ** 32 - n) % n
+    return (scaled[accepted] >> 32).tolist(), np.flatnonzero(accepted)
+
+
+def _rewire_pairs(rewire, n, base_i, base_j, rewired):
+    """Fresh endpoints for the edges `rewired` (ascending indices into the
+    base edges), one edge at a time.
+
+    Each rewired edge leaves the edge set, then pairs a, b = integers(0, n)
+    are drawn until a != b and the ordered pair is not an edge.  The draws
+    are decoded in bulk from raw words (`_bounded_draws`); afterwards
+    `rewire` is left exactly where the scalar draws would leave it, its
+    buffered high half included.  `rewire` must hold no buffered half on
+    entry (it has drawn only doubles).
+    """
+    bitgen = rewire.bit_generator
+    saved = bitgen.state
+    keys = base_i * n + base_j
+    edges = set(keys.tolist())
+    chunk = rewired.size + rewired.size // 4 + 64
+    drawn = 0  # raw words drawn so far
+    values, positions, t = [], np.empty(0, dtype=np.int64), 0
+    new_i, new_j = [], []
+    for old in keys[rewired].tolist():
+        edges.discard(old)
+        while True:
+            while t + 2 > len(values):
+                # continue the stream; keep an undrawn value and its position
+                fresh = bitgen.random_raw(chunk)
+                more, at = _bounded_draws(fresh, n)
+                values = values[t:] + more
+                positions = np.concatenate([positions[t:], at + 2 * drawn])
+                drawn += fresh.size
+                t = 0
+            a, b = values[t], values[t + 1]
+            t += 2
+            if a == b:
+                continue
+            if a > b:
+                a, b = b, a
+            if a * n + b not in edges:
+                break
+        edges.add(a * n + b)
+        new_i.append(a)
+        new_j.append(b)
+
+    used = int(positions[t - 1]) + 1 if t else 0
+    bitgen.state = saved
+    bitgen.advance(used // 2)
+    if used % 2:
+        # the last word's low half was used; its high half stays buffered
+        high = int(bitgen.random_raw()) >> 32
+        state = bitgen.state
+        state["has_uint32"], state["uinteger"] = 1, high
+        bitgen.state = state
+    return new_i, new_j
+
+
 def gen_small_world(params: SmallWorldParams):
     """Neighborhood graph on S^2 (edge iff <b_i, b_j> > 1 - epsilon), then each
     edge independently rewired with probability 1-p to a uniformly random fresh
     pair carrying a uniform offset.  Edge count is preserved exactly; kept
-    edges are good with exact offsets."""
+    edges are good with exact offsets.
+
+    The rewiring draws are decoded in bulk from the 32-bit halves of raw PCG64
+    words (`_rewire_pairs`), giving the same instances as one scalar
+    `integers(0, n)` call per endpoint."""
     n = params.n
     pts = _sphere_points(_rng(params.seed, _STREAM_GRAPH), n)
     gram = pts @ pts.T
@@ -144,24 +225,11 @@ def gen_small_world(params: SmallWorldParams):
     rewire = _rng(params.seed, _STREAM_REWIRE)
     rewire_mask = rewire.random(m) >= params.p
 
-    edge_set = set(zip(base_i.tolist(), base_j.tolist()))
+    rewired = np.flatnonzero(rewire_mask)
     out_i = base_i.copy()
     out_j = base_j.copy()
     good = ~rewire_mask
-    for k in np.flatnonzero(rewire_mask):
-        edge_set.discard((int(base_i[k]), int(base_j[k])))
-        while True:
-            a = int(rewire.integers(0, n))
-            b = int(rewire.integers(0, n))
-            if a == b:
-                continue
-            if a > b:
-                a, b = b, a
-            if (a, b) in edge_set:
-                continue
-            break
-        edge_set.add((a, b))
-        out_i[k], out_j[k] = a, b
+    out_i[rewired], out_j[rewired] = _rewire_pairs(rewire, n, base_i, base_j, rewired)
 
     delta = np.empty(m, dtype=np.float64)
     delta[good] = reduce_angles(theta[out_i[good]] - theta[out_j[good]])
@@ -212,9 +280,12 @@ def gen_clock(params: ClockModelParams):
 
 
 def instance_metadata(model: str, params, graph: OffsetGraph, truth: GroundTruth) -> dict:
-    """Sidecar metadata for a generated instance (JSON-serializable)."""
+    """Sidecar metadata for a generated instance (JSON-serializable).
+
+    The good mask is not repeated here: the instance file carries it."""
     m_good = int(truth.good_mask.sum())
     return {
+        "schema_version": SIDECAR_SCHEMA_VERSION,
         "model": model,
         "params": {k: (int(v) if isinstance(v, (int, np.integer)) else float(v))
                    for k, v in vars(params).items()},
@@ -225,5 +296,4 @@ def instance_metadata(model: str, params, graph: OffsetGraph, truth: GroundTruth
         "m_bad": graph.m - m_good,
         "connected": bool(is_connected(graph)),
         "theta": truth.theta.tolist(),
-        "good_mask": truth.good_mask.astype(int).tolist(),
     }

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from angsync.cli import derive_seed, main
-from angsync.core import read_instance
+from angsync.core import read_instance, write_instance
 
 
 def run(args):
@@ -24,6 +24,26 @@ class TestGenerate:
         assert meta["m_good"] == 10 and meta["m_bad"] == 0
         assert meta["connected"] is True
         assert len(meta["theta"]) == 5
+        # schema 2: the good mask lives only in the instance file
+        assert meta["schema_version"] == 2
+        assert "good_mask" not in meta
+
+    def test_schema_1_sidecar_mask_still_read(self, tmp_path, capsys):
+        # an instance file without flags, next to a sidecar that lists the mask
+        out = tmp_path / "inst.txt"
+        run(["generate", "--model", "complete", "--n", "30", "--p", "0.5",
+             "--seed", "6", "--out", str(out)])
+        run(["solve", str(out)])
+        expected = capsys.readouterr().out.splitlines()[-1]
+        graph, mask = read_instance(out)
+        write_instance(out, graph)
+        meta_path = tmp_path / "inst.txt.meta.json"
+        meta = json.loads(meta_path.read_text())
+        del meta["schema_version"]
+        meta["good_mask"] = mask.astype(int).tolist()
+        meta_path.write_text(json.dumps(meta))
+        assert run(["solve", str(out)]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == expected
 
     def test_small_world_edge_count(self, tmp_path):
         out = tmp_path / "sw.txt"
@@ -97,6 +117,23 @@ class TestSolve:
         err = capsys.readouterr().err
         assert err.startswith("error:") and flag in err
 
+    @pytest.mark.parametrize("method", ["lsqr", "sdp"])
+    def test_shift_rejected_outside_eig(self, tmp_path, capsys, method):
+        out = tmp_path / "inst.txt"
+        run(["generate", "--model", "complete", "--n", "8", "--p", "1",
+             "--seed", "2", "--out", str(out)])
+        capsys.readouterr()
+        assert run(["solve", str(out), "--method", method, "--shift", "5"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "--shift" in err
+
+    def test_eig_accepts_shift(self, tmp_path, capsys):
+        out = tmp_path / "inst.txt"
+        run(["generate", "--model", "complete", "--n", "8", "--p", "1",
+             "--seed", "2", "--out", str(out)])
+        assert run(["solve", str(out), "--method", "eig", "--shift", "5"]) == 0
+        assert "rho1=1.0000" in capsys.readouterr().out
+
     @pytest.mark.parametrize("method", ["eig", "lsqr"])
     @pytest.mark.parametrize("flag, value", [("--tol", "1e-6"),
                                              ("--max-iters", "50")])
@@ -160,6 +197,30 @@ class TestSweep:
                    if r["p"] == agg["p"] and r["method"] == agg["method"]]
             assert len(sel) == int(agg["trials"]) == 3
             assert np.mean(sel) == pytest.approx(float(agg["rho1_mean"]), rel=1e-15)
+
+    @pytest.mark.parametrize("methods, flags", [
+        ("sdp", ["--tol", "1e-3", "--max-iters", "1"]),
+        ("sdp", ["--tol", "1e-3"]),
+        ("eig,sdp", ["--max-iters", "1"]),
+    ])
+    def test_sdp_in_method_list_rejects_flags(self, tmp_path, capsys, methods, flags):
+        out = tmp_path / "sw.csv"
+        code = run(["sweep", "--model", "complete", "--n", "10", "--p", "0.9",
+                    "--trials", "1", "--method", methods, *flags, "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and flags[0] in err
+        assert not out.exists()
+
+    def test_default_tol_and_budget_resolve_as_before(self, tmp_path):
+        a = tmp_path / "a.csv"
+        b = tmp_path / "b.csv"
+        args = ["sweep", "--model", "complete", "--n", "25", "--p", "0.8,0.3",
+                "--trials", "2", "--seed", "4", "--method", "eig,lsqr",
+                "--deterministic"]
+        assert run(args + ["--out", str(a)]) == 0
+        assert run(args + ["--tol", "1e-8", "--max-iters", "2000", "--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
 
     def test_seed_derivation_pure_function(self):
         assert derive_seed(7, 0, 0) == derive_seed(7, 0, 0)

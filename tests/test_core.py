@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from angsync.core import (
     TWO_PI,
@@ -24,7 +26,12 @@ from angsync.core import (
     write_instance,
 )
 from angsync.eig import estimate_eig
-from angsync.generators import CompleteModelParams, gen_complete
+from angsync.generators import (
+    CompleteModelParams,
+    SmallWorldParams,
+    gen_complete,
+    gen_small_world,
+)
 
 angles = st.floats(min_value=-30.0, max_value=30.0, allow_nan=False)
 
@@ -272,6 +279,28 @@ def test_connected_components():
     assert not is_connected(g)
     g2 = OffsetGraph(n=3, i=[0, 1], j=[1, 2], delta=[0.0, 0.0])
     assert is_connected(g2)
+
+
+def _symmetric_component_labels(graph):
+    # reference: both directions of every edge, 2m entries
+    ones = np.ones(2 * graph.m)
+    rows = np.concatenate([graph.i, graph.j])
+    cols = np.concatenate([graph.j, graph.i])
+    adj = sp.coo_matrix((ones, (rows, cols)), shape=(graph.n, graph.n)).tocsr()
+    return connected_components(adj, directed=False)
+
+
+@pytest.mark.parametrize("graph", [
+    OffsetGraph(n=7, i=[5, 0, 3, 1], j=[6, 2, 4, 2], delta=[0.1, 0.2, 0.3, 0.4]),
+    OffsetGraph(n=4, i=[], j=[], delta=[]),
+    gen_small_world(SmallWorldParams(n=60, epsilon=0.02, p=1.0, seed=3))[0],
+    gen_small_world(SmallWorldParams(n=200, epsilon=0.01, p=0.5, seed=8))[0],
+], ids=["unsorted-rows", "no-edges", "cap-graph", "rewired"])
+def test_component_labels_match_symmetric_build(graph):
+    count, labels = connected_component_labels(graph)
+    ref_count, ref_labels = _symmetric_component_labels(graph)
+    assert count == ref_count > 1
+    assert np.array_equal(labels, ref_labels)
 
 
 class TestInstanceFile:

@@ -3,6 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from angsync import generators
 from angsync.core import TWO_PI, InvalidInputError, circdist, rho1, sce
 from angsync.eig import EigOptions, estimate_eig
 from angsync.generators import (
@@ -140,6 +141,120 @@ class TestSmallWorld:
                            (graph.delta, np.float64), (truth.good_mask, np.uint8)):
             h.update(np.ascontiguousarray(arr.astype(dtype)).tobytes())
         assert h.hexdigest() == expected
+
+
+def _scalar_rewire_pairs(rewire, n, base_i, base_j, rewired):
+    """The scalar rewiring loop that `_rewire_pairs` replaced, kept as the
+    reference: two `integers(0, n)` calls per attempt."""
+    edge_set = set(zip(base_i.tolist(), base_j.tolist()))
+    new_i, new_j = [], []
+    for k in rewired:
+        edge_set.discard((int(base_i[k]), int(base_j[k])))
+        while True:
+            a = int(rewire.integers(0, n))
+            b = int(rewire.integers(0, n))
+            if a == b:
+                continue
+            if a > b:
+                a, b = b, a
+            if (a, b) in edge_set:
+                continue
+            break
+        edge_set.add((a, b))
+        new_i.append(a)
+        new_j.append(b)
+    return new_i, new_j
+
+
+def _assert_same_instance(params, monkeypatch):
+    graph, truth = gen_small_world(params)
+    with monkeypatch.context() as mp:
+        mp.setattr(generators, "_rewire_pairs", _scalar_rewire_pairs)
+        ref_graph, ref_truth = gen_small_world(params)
+    for got, want in ((graph.i, ref_graph.i), (graph.j, ref_graph.j),
+                      (graph.delta, ref_graph.delta), (truth.theta, ref_truth.theta),
+                      (truth.good_mask, ref_truth.good_mask)):
+        assert np.array_equal(got, want)
+
+
+# PCG64 steps its 128-bit LCG, then outputs rotr64(hi ^ lo, state >> 122), so
+# a post-step state below 2**64 outputs itself.
+_PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _rng_emitting(first_word, seed=0):
+    """A generator whose next raw 64-bit word is `first_word`."""
+    rng = np.random.default_rng(seed)
+    state = rng.bit_generator.state
+    inc = state["state"]["inc"]
+    pre = (first_word - inc) * pow(_PCG64_MULTIPLIER, -1, 2 ** 128) % 2 ** 128
+    state["state"] = {"state": pre, "inc": inc}
+    rng.bit_generator.state = state
+    return rng
+
+
+class TestBulkRewiring:
+    """The rewiring draws are decoded in bulk from raw PCG64 words; instances
+    must equal those of the scalar loop bit for bit."""
+
+    @pytest.mark.parametrize("n, epsilon, p", [
+        (300, 0.2, 0.5), (500, 0.1, 0.3), (2000, 0.05, 0.3),
+        (300, 0.2, 0.0), (300, 0.2, 1.0),
+    ])
+    def test_matches_scalar_loop_over_seeds(self, n, epsilon, p, monkeypatch):
+        for seed in range(1, 21):
+            _assert_same_instance(SmallWorldParams(n=n, epsilon=epsilon, p=p, seed=seed),
+                                  monkeypatch)
+
+    def test_dense_case_refills(self, monkeypatch):
+        # 3/4 of all pairs are edges, so each rewired edge takes about four
+        # attempts: far more words than the first chunk of ~1.25 per edge
+        class CountingRng:
+            def __init__(self, rng):
+                self.rng, self.draws = rng, 0
+
+            def integers(self, *args):
+                self.draws += 1
+                return self.rng.integers(*args)
+
+        for seed in range(1, 21):
+            params = SmallWorldParams(n=50, epsilon=1.5, p=0.0, seed=seed)
+            _assert_same_instance(params, monkeypatch)
+            base, _ = gen_small_world(SmallWorldParams(n=50, epsilon=1.5, p=1.0, seed=seed))
+            rewire = generators._rng(seed, generators._STREAM_REWIRE)
+            rewire.random(base.m)
+            counting = CountingRng(rewire)
+            _scalar_rewire_pairs(counting, 50, base.i, base.j, range(base.m))
+            assert counting.draws / 2 > 2 * base.m
+
+    def test_lemire_rejection_decoded_like_numpy(self):
+        # low half 0 is rejected whenever (2**32 - n) % n > 0; the high half
+        # is then the draw
+        word = 0x89ABCDEF << 32
+        for n in (300, 2000, 12345, 3_000_000_000):
+            assert (2 ** 32 - n) % n > 0
+            values, positions = generators._bounded_draws(
+                np.array([word], dtype=np.uint64), n)
+            rng = _rng_emitting(word)
+            assert values == [int(rng.integers(0, n))]
+            assert positions.tolist() == [1]
+            assert rng.bit_generator.state["has_uint32"] == 0
+
+    def test_rejected_half_gives_odd_count_and_same_state(self):
+        # A rejected first half makes the halves used odd, leaves one decoded
+        # value over at each refill (dense case), and must leave the high half
+        # of the last word buffered, as the scalar draws do.
+        graph, _ = gen_small_world(SmallWorldParams(n=50, epsilon=1.5, p=1.0, seed=4))
+        rewired = np.arange(graph.m)
+        for seed in range(5):
+            bulk = _rng_emitting(0x89ABCDEF << 32, seed)
+            scalar = _rng_emitting(0x89ABCDEF << 32, seed)
+            got = generators._rewire_pairs(bulk, 50, graph.i, graph.j, rewired)
+            want = _scalar_rewire_pairs(scalar, 50, graph.i, graph.j, rewired)
+            assert got == want
+            assert bulk.bit_generator.state == scalar.bit_generator.state
+            assert scalar.bit_generator.state["has_uint32"] == 1
+            assert bulk.random() == scalar.random()
 
 
 class TestClock:
