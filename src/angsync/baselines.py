@@ -1,8 +1,9 @@
 """Comparison solvers: anchored least squares and the unit-diagonal SDP.
 
 The least-squares route minimizes sum |z_i - e^{i delta_ij} z_j|^2 with one
-entry pinned to 1, solved through its normal equations (a connection-Laplacian
-system, D - H) by conjugate gradients.
+entry pinned to 1 in each connected component.  Its normal equations are the
+connection Laplacian D - H grounded at those anchors (their rows and columns
+removed), solved for all components together by one conjugate-gradient run.
 
 The SDP route maximizes the quadratic objective trace(H VV*) over complex
 factors V with unit-norm rows (a low-rank factorization of the feasible set
@@ -13,6 +14,7 @@ rank of Theta = VV* is reported alongside.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -41,7 +43,12 @@ def estimate_lsqr(graph: OffsetGraph, opts: LsqrOptions | None = None) -> AngleE
 
     Pins z=1 at the lowest-index vertex of each connected component (the
     anchor of the component containing vertex 0 matches the usual z_1 = 1
-    convention) and solves the grounded normal equations per component.
+    convention) and solves the grounded normal equations L_ff u = b of all
+    components by one conjugate-gradient run.  The components share no edge,
+    so the grounded connection Laplacian L_ff is block diagonal and the one
+    solve gives each component's answer.  `tol` and `max_iters` apply to that
+    one system; `iterations` counts its CG steps and `residual` is its
+    relative residual ||L_ff u - b|| / ||b||.
     """
     opts = opts or LsqrOptions()
     t0 = time.perf_counter()
@@ -51,35 +58,23 @@ def estimate_lsqr(graph: OffsetGraph, opts: LsqrOptions | None = None) -> AngleE
     L = (sp.diags(deg) - H.entries).tocsr()
 
     ncomp, labels = connected_component_labels(graph)
-    z = np.zeros(n, dtype=np.complex128)
+    anchors = np.unique(labels, return_index=True)[1]
+    free = np.ones(n, dtype=bool)
+    free[anchors] = False
+    Lf = L[free]
+    Lff = Lf[:, free]
+    rhs = -(Lf[:, anchors] @ np.ones(ncomp))
     max_iters = opts.max_iters if opts.max_iters is not None else 20 * n
-    iterations = 0
-    residual = 0.0
-    all_converged = True
-    for comp in range(ncomp):
-        verts = np.flatnonzero(labels == comp)
-        anchor = verts[0]
-        z[anchor] = 1.0
-        free = verts[1:]
-        if free.size == 0:
-            continue
-        Lff = L[free][:, free]
-        rhs = -L[:, anchor].toarray().ravel()[free]
-        count = [0]
-
-        def tick(_xk):
-            count[0] += 1
-
-        u, info = cg(Lff, rhs, rtol=opts.tol, atol=0.0, maxiter=max_iters,
-                     callback=tick)
-        z[free] = u
-        iterations += count[0]
-        rhs_norm = np.linalg.norm(rhs)
-        if rhs_norm > 0:
-            residual = max(residual,
-                           float(np.linalg.norm(Lff @ u - rhs) / rhs_norm))
-        if info != 0:
-            all_converged = False
+    ticks = itertools.count()
+    u, info = cg(Lff, rhs, rtol=opts.tol, atol=0.0, maxiter=max_iters,
+                 callback=lambda _xk: next(ticks))
+    iterations = next(ticks)  # the count of callbacks made
+    z = np.ones(n, dtype=np.complex128)
+    z[free] = u
+    # b is empty only when every vertex is isolated; otherwise each anchor
+    # with a neighbour puts that neighbour's entry of b at -L[f, anchor] != 0.
+    residual = (float(np.linalg.norm(Lff @ u - rhs) / np.linalg.norm(rhs))
+                if rhs.size else 0.0)
 
     theta_hat, flagged = round_to_angles(z)
     znorm = np.linalg.norm(z)
@@ -93,7 +88,7 @@ def estimate_lsqr(graph: OffsetGraph, opts: LsqrOptions | None = None) -> AngleE
         residual=residual,
         method_tag="lsqr",
         diagnostics={
-            "converged": all_converged,
+            "converged": info == 0,
             "components": int(ncomp),
             "disconnected": bool(ncomp > 1),
             "flagged": flagged.tolist(),
@@ -102,13 +97,15 @@ def estimate_lsqr(graph: OffsetGraph, opts: LsqrOptions | None = None) -> AngleE
     )
 
 
+RANK_TOLERANCE = 1e-6  # relative singular-value cutoff for theta_rank
+
+
 @dataclass(frozen=True)
 class SdpOptions:
     rank: int | None = None  # None: max(3, ceil(sqrt(2 n)))
     max_iters: int = 2000
     step_tolerance: float = 0.0  # 0: ascend until float-level stagnation
     seed: int = 0
-    rank_tolerance: float = 1e-6
 
 
 def default_sdp_rank(n: int) -> int:
@@ -173,14 +170,14 @@ def estimate_sdp(graph: OffsetGraph, opts: SdpOptions | None = None):
     """Low-rank SDP relaxation; returns (AngleEstimate, theta_rank).
 
     theta_rank counts singular values of the factor V above
-    rank_tolerance * largest, i.e. the numerical rank of Theta = VV*.
+    RANK_TOLERANCE * largest, i.e. the numerical rank of Theta = VV*.
     """
     opts = opts or SdpOptions()
     n = graph.n
     r = opts.rank if opts.rank is not None else default_sdp_rank(n)
     if not 1 <= r <= n:
         raise InvalidInputError(f"rank must lie in [1, {n}], got {r}")
-    if opts.max_iters < 1 or opts.step_tolerance < 0 or opts.rank_tolerance <= 0:
+    if opts.max_iters < 1 or opts.step_tolerance < 0:
         raise InvalidInputError("bad solver options")
 
     t_start = time.perf_counter()
@@ -204,7 +201,7 @@ def estimate_sdp(graph: OffsetGraph, opts: SdpOptions | None = None):
     feas_dev = max(dev1, dev2)
 
     U, s, _ = np.linalg.svd(V, full_matrices=False)
-    theta_rank = int(np.count_nonzero(s > opts.rank_tolerance * s[0]))
+    theta_rank = int(np.count_nonzero(s > RANK_TOLERANCE * s[0]))
     u1 = U[:, 0]
     theta_hat, flagged = round_to_angles(u1)
     rayleigh = float(np.vdot(u1, H.matvec(u1)).real)

@@ -70,7 +70,8 @@ def _generate(model: str, n: int, p: float, epsilon: float, seed: int,
         params = generators.ClockModelParams(
             n=n, edge_probability=ca.get("edge_probability", 1.0),
             sigma_good=ca.get("sigma_good", 0.0),
-            outlier_fraction=ca.get("outlier_fraction", 1.0 - p),
+            outlier_fraction=(1.0 - p if ca.get("outlier_fraction") is None
+                              else ca["outlier_fraction"]),
             outlier_scale=ca.get("outlier_scale", 0.0),
             omega=ca.get("omega", 1.0), seed=seed)
         graph, truth, times = generators.gen_clock(params)
@@ -333,7 +334,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_model_flags(gen)
     gen.add_argument("--edge-probability", type=float, default=1.0)
     gen.add_argument("--sigma-good", type=float, default=0.0)
-    gen.add_argument("--outlier-fraction", type=float, default=0.0)
+    gen.add_argument("--outlier-fraction", type=float, default=None,
+                     help="clock outlier fraction (default 1 - p)")
     gen.add_argument("--outlier-scale", type=float, default=0.0)
     gen.add_argument("--omega", type=float, default=1.0)
     gen.add_argument("--out", required=True)

@@ -8,7 +8,7 @@ reported through explicit flags on TheoryPrediction rather than NaN.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .core import InvalidInputError
 
@@ -24,7 +24,6 @@ class TheoryPrediction:
     name: str
     value: float
     aux: float | None = None
-    inputs: dict = field(default_factory=dict)
     flag: str | None = None
 
 
@@ -60,16 +59,15 @@ def lambda1_law(n: int, p: float) -> TheoryPrediction:
     a measured 66.45).  The std is in H's own units.
     """
     _check_p(p)
-    inputs = {"n": n, "p": p}
     if p == 1.0:
-        return TheoryPrediction("lambda1_law", math.inf, 0.0, inputs, FLAG_NEAR_EXACT)
+        return TheoryPrediction("lambda1_law", math.inf, 0.0, FLAG_NEAR_EXACT)
     if p == 0.0 or n * p <= math.sqrt(n * (1.0 - p * p)):
-        return TheoryPrediction("lambda1_law", wigner_edge(n, p), None, inputs,
+        return TheoryPrediction("lambda1_law", wigner_edge(n, p), None,
                                 FLAG_BELOW_THRESHOLD)
     q = 1.0 - p * p
     mu = n * p / math.sqrt(q) + math.sqrt(q) / p
     var = ((n + 1) * p * p - 1.0) / (n * p * p) * q
-    return TheoryPrediction("lambda1_law", mu, math.sqrt(var), inputs)
+    return TheoryPrediction("lambda1_law", mu, math.sqrt(var))
 
 
 def p_threshold_complete(n: int) -> float:
@@ -111,8 +109,7 @@ def small_world_threshold(n: int, m: int) -> TheoryPrediction:
         raise InvalidInputError("need n >= 1 and m >= 1")
     value = math.sqrt(float(n) ** 5 / (8.0 * float(m) ** 3))
     flag = FLAG_VACUOUS if value > 1.0 else None
-    return TheoryPrediction("small_world_threshold", value, None,
-                            {"n": n, "m": m}, flag)
+    return TheoryPrediction("small_world_threshold", value, None, flag)
 
 
 def _xlog2x(x: float) -> float:
@@ -180,22 +177,21 @@ def threshold_ratio(L: int) -> float:
 def predictions_table(n: int, m: int, L: int, p: float) -> list[TheoryPrediction]:
     """All named predictions for one (n, m, L, p), ready for CSV output."""
     mk = TheoryPrediction
-    base = {"n": n, "m": m, "L": L, "p": p}
     m_bad = int(round((1.0 - p) * m))  # expected outlier count at this p
     rows = [
-        mk("wigner_edge", wigner_edge(n, p), None, base),
+        mk("wigner_edge", wigner_edge(n, p)),
         lambda1_law(n, p),
-        mk("p_threshold_complete", p_threshold_complete(n), None, base),
-        mk("correlation_prediction", correlation_prediction(n, p), None, base),
-        mk("lambda1_sparse_bad", lambda1_sparse_bad(n, m_bad), None, base),
-        mk("small_world_gap", small_world_gap(n, m, p), None, base),
+        mk("p_threshold_complete", p_threshold_complete(n)),
+        mk("correlation_prediction", correlation_prediction(n, p)),
+        mk("lambda1_sparse_bad", lambda1_sparse_bad(n, m_bad)),
+        mk("small_world_gap", small_world_gap(n, m, p)),
         small_world_threshold(n, m),
-        mk("entropy_HLp", entropy_HLp(L, p), None, base),
-        mk("mutual_info_ILp", mutual_info_ILp(L, p), None, base),
-        mk("mutual_info_taylor", mutual_info_taylor(L, p), None, base),
-        mk("fano_error_bound", fano_error_bound(n, m, L, p), None, base),
-        mk("p_threshold_info", p_threshold_info(n, m, L), None, base),
-        mk("p_threshold_individual", p_threshold_individual(n, m, L), None, base),
-        mk("threshold_ratio", threshold_ratio(L), None, base),
+        mk("entropy_HLp", entropy_HLp(L, p)),
+        mk("mutual_info_ILp", mutual_info_ILp(L, p)),
+        mk("mutual_info_taylor", mutual_info_taylor(L, p)),
+        mk("fano_error_bound", fano_error_bound(n, m, L, p)),
+        mk("p_threshold_info", p_threshold_info(n, m, L)),
+        mk("p_threshold_individual", p_threshold_individual(n, m, L)),
+        mk("threshold_ratio", threshold_ratio(L)),
     ]
     return rows

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.linalg import cg
 
 from angsync.baselines import (
     LsqrOptions,
@@ -9,8 +11,15 @@ from angsync.baselines import (
     estimate_sdp,
     sdp_objective,
 )
-from angsync.core import TWO_PI, InvalidInputError, OffsetGraph, rho1
-from angsync.eig import estimate_eig
+from angsync.core import (
+    TWO_PI,
+    AngleEstimate,
+    InvalidInputError,
+    OffsetGraph,
+    connected_component_labels,
+    rho1,
+)
+from angsync.eig import build_sync_matrix, estimate_eig, round_to_angles
 from angsync.generators import CompleteModelParams, SmallWorldParams, gen_complete, gen_small_world
 
 
@@ -52,6 +61,112 @@ class TestLsqr:
         est = estimate_lsqr(graph, LsqrOptions(tol=1e-10))
         r = rho1(est.theta_hat, truth.theta)
         assert 0.0 <= r <= 1.0
+
+
+def _per_component_lsqr(graph, opts=None):
+    """The per-component loop that the one grounded solve replaced, kept as
+    the reference: one `cg` call per connected component."""
+    opts = opts or LsqrOptions()
+    n = graph.n
+    H = build_sync_matrix(graph, 0.0)
+    deg = graph.degrees().astype(np.float64)
+    L = (sp.diags(deg) - H.entries).tocsr()
+
+    ncomp, labels = connected_component_labels(graph)
+    z = np.zeros(n, dtype=np.complex128)
+    max_iters = opts.max_iters if opts.max_iters is not None else 20 * n
+    iterations = 0
+    residual = 0.0
+    all_converged = True
+    for comp in range(ncomp):
+        verts = np.flatnonzero(labels == comp)
+        anchor = verts[0]
+        z[anchor] = 1.0
+        free = verts[1:]
+        if free.size == 0:
+            continue
+        Lff = L[free][:, free]
+        rhs = -L[:, anchor].toarray().ravel()[free]
+        count = [0]
+
+        def tick(_xk):
+            count[0] += 1
+
+        u, info = cg(Lff, rhs, rtol=opts.tol, atol=0.0, maxiter=max_iters,
+                     callback=tick)
+        z[free] = u
+        iterations += count[0]
+        rhs_norm = np.linalg.norm(rhs)
+        if rhs_norm > 0:
+            residual = max(residual,
+                           float(np.linalg.norm(Lff @ u - rhs) / rhs_norm))
+        if info != 0:
+            all_converged = False
+
+    theta_hat, flagged = round_to_angles(z)
+    v = z / np.linalg.norm(z)
+    return AngleEstimate(
+        theta_hat=theta_hat, eigvec=v,
+        top_eigval=float(np.vdot(v, H.matvec(v)).real),
+        iterations=iterations, residual=residual, method_tag="lsqr",
+        diagnostics={"converged": all_converged, "components": int(ncomp),
+                     "disconnected": bool(ncomp > 1), "flagged": flagged.tolist()})
+
+
+class TestGroundedSolve:
+    """One CG run on the grounded Laplacian of all components must give the
+    per-component loop's answer: bit for bit on a connected graph, where the
+    two are the same system, and to rounding on a fragmented one."""
+
+    @pytest.mark.parametrize("params", [
+        *(pytest.param(CompleteModelParams(n=400, p=0.1, seed=s), id=f"complete-{s}")
+          for s in range(1, 9)),
+        *(pytest.param(SmallWorldParams(n=200, epsilon=0.3, p=p, seed=s),
+                       id=f"small-world-p{p}-{s}")
+          for p in (0.7, 0.4) for s in range(1, 9)),
+    ])
+    def test_bit_identical_on_connected_graphs(self, params):
+        gen = gen_complete if isinstance(params, CompleteModelParams) else gen_small_world
+        graph, _ = gen(params)
+        got, want = estimate_lsqr(graph), _per_component_lsqr(graph)
+        assert got.diagnostics["components"] == want.diagnostics["components"] == 1
+        assert np.array_equal(got.theta_hat, want.theta_hat)
+        assert np.array_equal(got.eigvec, want.eigvec)
+        assert got.top_eigval == want.top_eigval
+        assert got.iterations == want.iterations
+        assert got.residual == want.residual
+        assert got.diagnostics["converged"] == want.diagnostics["converged"]
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_matches_loop_on_fragmented_graphs(self, seed):
+        graph, _ = gen_small_world(SmallWorldParams(n=2000, epsilon=0.003, p=0.8,
+                                                    seed=seed))
+        # tol is relative to the whole right-hand side now, not to each
+        # component's, so at the default 1e-10 the two stop at different
+        # points (z apart by up to 1.2e-9 on these seeds); a tighter tol
+        # compares the two formulations rather than where CG stopped.
+        opts = LsqrOptions(tol=1e-12)
+        got, want = estimate_lsqr(graph, opts), _per_component_lsqr(graph, opts)
+        assert got.diagnostics["components"] == want.diagnostics["components"] > 100
+        assert got.diagnostics["converged"] and want.diagnostics["converged"]
+        # z is the eigvec scaled so that the anchor of vertex 0 is 1
+        z_got, z_want = got.eigvec / got.eigvec[0], want.eigvec / want.eigvec[0]
+        assert np.abs(z_got - z_want).max() <= 1e-10
+        assert got.iterations <= 20 * graph.n
+
+    def test_iterations_within_budget(self):
+        graph, _ = gen_small_world(SmallWorldParams(n=2000, epsilon=0.003, p=0.8, seed=1))
+        est = estimate_lsqr(graph, LsqrOptions(max_iters=3))
+        assert est.iterations <= 3
+        assert not est.diagnostics["converged"]
+
+    def test_edgeless_graph(self):
+        est = estimate_lsqr(OffsetGraph(n=4, i=[], j=[], delta=[]))
+        assert np.array_equal(est.theta_hat, np.zeros(4))
+        assert est.iterations == 0
+        assert est.residual == 0.0
+        assert est.diagnostics["converged"]
+        assert est.diagnostics["components"] == 4
 
 
 class TestSdp:

@@ -67,6 +67,19 @@ class TestGenerate:
         assert run(["solve", str(out), "--method", "eig"]) == 0
         assert "rho1=1.0000" in capsys.readouterr().out
 
+    def test_clock_outlier_fraction_defaults_to_one_minus_p(self, tmp_path):
+        out = tmp_path / "clk.txt"
+        assert run(["generate", "--model", "clock", "--n", "30", "--p", "0.2",
+                    "--seed", "1", "--out", str(out)]) == 0
+        meta = json.loads((tmp_path / "clk.txt.meta.json").read_text())
+        assert meta["params"]["outlier_fraction"] == 0.8
+        assert meta["m_bad"] > 0
+        # an explicit --outlier-fraction wins over --p
+        assert run(["generate", "--model", "clock", "--n", "30", "--p", "0.2",
+                    "--outlier-fraction", "0.1", "--seed", "1", "--out", str(out)]) == 0
+        meta = json.loads((tmp_path / "clk.txt.meta.json").read_text())
+        assert meta["params"]["outlier_fraction"] == 0.1
+
     def test_rejects_bad_probability(self, tmp_path, capsys):
         code = run(["generate", "--model", "complete", "--n", "5", "--p", "1.5",
                     "--seed", "0", "--out", str(tmp_path / "x.txt")])
