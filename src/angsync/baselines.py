@@ -27,9 +27,10 @@ from .core import (
     AngleEstimate,
     InvalidInputError,
     OffsetGraph,
+    SyncMatrix,
     connected_component_labels,
 )
-from .eig import build_sync_matrix, round_to_angles
+from .eig import round_to_angles, sync_matrix_of
 
 
 @dataclass(frozen=True)
@@ -38,7 +39,8 @@ class LsqrOptions:
     max_iters: int | None = None  # None: 20 n
 
 
-def estimate_lsqr(graph: OffsetGraph, opts: LsqrOptions | None = None) -> AngleEstimate:
+def estimate_lsqr(graph: OffsetGraph, opts: LsqrOptions | None = None, *,
+                  H: SyncMatrix | None = None) -> AngleEstimate:
     """Anchored least squares on the offset equations.
 
     Pins z=1 at the lowest-index vertex of each connected component (the
@@ -48,12 +50,13 @@ def estimate_lsqr(graph: OffsetGraph, opts: LsqrOptions | None = None) -> AngleE
     so the grounded connection Laplacian L_ff is block diagonal and the one
     solve gives each component's answer.  `tol` and `max_iters` apply to that
     one system; `iterations` counts its CG steps and `residual` is its
-    relative residual ||L_ff u - b|| / ||b||.
+    relative residual ||L_ff u - b|| / ||b||.  D - H and the Rayleigh
+    quotient use the given `H` (see `eig.sync_matrix_of`) when there is one.
     """
     opts = opts or LsqrOptions()
     t0 = time.perf_counter()
     n = graph.n
-    H = build_sync_matrix(graph, 0.0)
+    H = sync_matrix_of(graph, H)
     deg = graph.degrees().astype(np.float64)
     L = (sp.diags(deg) - H.entries).tocsr()
 
@@ -166,11 +169,13 @@ def _ascend(Hmat, V, t0, max_iters, step_tol):
     return V, f, trace, steps, feas_dev
 
 
-def estimate_sdp(graph: OffsetGraph, opts: SdpOptions | None = None):
+def estimate_sdp(graph: OffsetGraph, opts: SdpOptions | None = None, *,
+                 H: SyncMatrix | None = None):
     """Low-rank SDP relaxation; returns (AngleEstimate, theta_rank).
 
     theta_rank counts singular values of the factor V above
-    RANK_TOLERANCE * largest, i.e. the numerical rank of Theta = VV*.
+    RANK_TOLERANCE * largest, i.e. the numerical rank of Theta = VV*.  The
+    ascent runs on the given `H` (see `eig.sync_matrix_of`) when there is one.
     """
     opts = opts or SdpOptions()
     n = graph.n
@@ -181,7 +186,7 @@ def estimate_sdp(graph: OffsetGraph, opts: SdpOptions | None = None):
         raise InvalidInputError("bad solver options")
 
     t_start = time.perf_counter()
-    H = build_sync_matrix(graph, 0.0)
+    H = sync_matrix_of(graph, H)
     Hmat = H.entries
     step0 = 1.0 / max(1.0, float(graph.degrees().max(initial=1)))
     rng = np.random.default_rng(np.random.SeedSequence(opts.seed, spawn_key=(41,)))

@@ -43,13 +43,30 @@ class TooLargeError(AngsyncError):
     """Problem size exceeds the configured dense limit."""
 
 
+def _mod2pi(x: np.ndarray) -> np.ndarray:
+    """np.mod(x, 2*pi) bit for bit, for a float64 array, without a division.
+
+    When every value lies in (-2pi, 4pi) one add per entry suffices: x + 2pi
+    below 0, x - 2pi from 2pi up (exact by Sterbenz), x + 0.0 otherwise,
+    which turns -0.0 into +0.0 as np.mod does.  The masks come from x, not
+    from the shifted values, so a tiny negative x gives exactly 2pi, as
+    np.mod does.  Other inputs, NaN and inf included, go to np.mod.
+    """
+    if not (x.size and x.min() > -TWO_PI and x.max() < 2.0 * TWO_PI):
+        return np.mod(x, TWO_PI)
+    shift = (x < 0.0).astype(np.float64)
+    shift -= x >= TWO_PI
+    shift *= TWO_PI
+    return x + shift
+
+
 def reduce_angles(x):
     """Reduce angles to [0, 2*pi). Accepts scalars or arrays, returns float64.
 
     np.mod can return exactly 2*pi for tiny negative inputs; those are mapped
     back to 0 so the half-open interval invariant holds exactly.
     """
-    out = np.mod(np.asarray(x, dtype=np.float64), TWO_PI)
+    out = _mod2pi(np.asarray(x, dtype=np.float64))
     out = np.where(out >= TWO_PI, 0.0, out)
     if np.ndim(x) == 0:
         return float(out)
@@ -58,7 +75,7 @@ def reduce_angles(x):
 
 def circdist(a, b):
     """Circular distance between angles: min(|a-b| mod 2pi, 2pi - that)."""
-    d = np.mod(np.abs(np.asarray(a, dtype=np.float64) - np.asarray(b, dtype=np.float64)), TWO_PI)
+    d = _mod2pi(np.abs(np.asarray(a, dtype=np.float64) - np.asarray(b, dtype=np.float64)))
     out = np.minimum(d, TWO_PI - d)
     if np.ndim(a) == 0 and np.ndim(b) == 0:
         return float(out)
@@ -99,10 +116,12 @@ class OffsetGraph:
         if i.size:
             if not np.all((0 <= i) & (i < j) & (j < n)):
                 raise InvalidInputError("edges must satisfy 0 <= i < j < n")
-            # sort and diff: np.unique takes a hash path in numpy 2.4 that
-            # is about 20x slower at m = 79,800
-            codes = np.sort(i * n + j)
-            if not np.all(np.diff(codes)):
+            # strictly ascending codes hold no duplicate; others are sorted
+            # and diffed (np.unique takes a hash path in numpy 2.4 that is
+            # about 20x slower at m = 79,800)
+            codes = i * n + j
+            if (not np.all(codes[1:] > codes[:-1])
+                    and not np.all(np.diff(np.sort(codes)))):
                 raise InvalidInputError("duplicate edge pair")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "i", _lock(i))

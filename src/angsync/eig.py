@@ -45,6 +45,23 @@ def build_sync_matrix(graph: OffsetGraph, diagonal_shift: float = 0.0) -> SyncMa
     return SyncMatrix(n=graph.n, entries=entries, diagonal_shift=float(diagonal_shift))
 
 
+def sync_matrix_of(graph: OffsetGraph, H: SyncMatrix | None = None) -> SyncMatrix:
+    """The unshifted sync matrix of `graph`: `H` itself when given, else built.
+
+    A given `H` is how a caller that solves one graph by several methods
+    builds the matrix once.  It must come from ``build_sync_matrix(graph)``:
+    raises InvalidInputError when its size, its 2m off-diagonal nonzeros or
+    its zero diagonal shift do not match."""
+    if H is None:
+        return build_sync_matrix(graph)
+    if H.n != graph.n or H.nnz_offdiag != 2 * graph.m:
+        raise InvalidInputError(f"H (n={H.n}, {H.nnz_offdiag} nonzeros) is not the sync "
+                                f"matrix of this graph (n={graph.n}, m={graph.m})")
+    if H.diagonal_shift != 0.0:
+        raise InvalidInputError("H must be unshifted; pass the shift in the options")
+    return H
+
+
 def default_max_iters(n: int) -> int:
     return max(100, math.ceil(10 * n * math.log(max(n, 2))))
 
@@ -146,11 +163,18 @@ class EigOptions:
     seed: int = 0
 
 
-def estimate_eig(graph: OffsetGraph, opts: EigOptions | None = None) -> AngleEstimate:
-    """End-to-end spectral estimate: build H, take its top eigenpair, round to angles."""
+def estimate_eig(graph: OffsetGraph, opts: EigOptions | None = None, *,
+                 H: SyncMatrix | None = None) -> AngleEstimate:
+    """End-to-end spectral estimate: build H, take its top eigenpair, round to angles.
+
+    A given `H` (see `sync_matrix_of`) is used instead of building one, and
+    `opts.diagonal_shift` is applied to its entries without a rebuild.
+    `diagnostics["wall_ms"]` then leaves out the build.
+    """
     opts = opts or EigOptions()
     t0 = time.perf_counter()
-    H = build_sync_matrix(graph, opts.diagonal_shift)
+    entries = sync_matrix_of(graph, H).entries
+    H = SyncMatrix(n=graph.n, entries=entries, diagonal_shift=float(opts.diagonal_shift))
     res = top_eigpair(H, tol=opts.tol, max_iters=opts.max_iters, seed=opts.seed)
     theta_hat, flagged = round_to_angles(res.eigvec)
     return AngleEstimate(

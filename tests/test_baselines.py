@@ -19,7 +19,7 @@ from angsync.core import (
     connected_component_labels,
     rho1,
 )
-from angsync.eig import build_sync_matrix, estimate_eig, round_to_angles
+from angsync.eig import EigOptions, build_sync_matrix, estimate_eig, round_to_angles
 from angsync.generators import CompleteModelParams, SmallWorldParams, gen_complete, gen_small_world
 
 
@@ -61,6 +61,45 @@ class TestLsqr:
         est = estimate_lsqr(graph, LsqrOptions(tol=1e-10))
         r = rho1(est.theta_hat, truth.theta)
         assert 0.0 <= r <= 1.0
+
+
+SOLVERS = {
+    "eig": lambda graph, H: estimate_eig(graph, H=H),
+    "eig-shift-0.3": lambda graph, H: estimate_eig(graph, EigOptions(diagonal_shift=0.3), H=H),
+    "lsqr": lambda graph, H: estimate_lsqr(graph, H=H),
+    "sdp": lambda graph, H: estimate_sdp(graph, SdpOptions(max_iters=200), H=H)[0],
+}
+
+
+class TestPassedSyncMatrix:
+    """An estimator given H, the sync matrix built once for several methods,
+    computes what it computes from the H it builds itself."""
+
+    @pytest.mark.parametrize("method", list(SOLVERS))
+    def test_bit_identical_to_self_built(self, method):
+        graph, _ = gen_complete(CompleteModelParams(n=30, p=0.5, seed=21))
+        own = SOLVERS[method](graph, None)
+        passed = SOLVERS[method](graph, build_sync_matrix(graph))
+        assert passed.theta_hat.tobytes() == own.theta_hat.tobytes()
+        assert passed.eigvec.tobytes() == own.eigvec.tobytes()
+        for name in ("top_eigval", "iterations", "residual", "method_tag"):
+            assert getattr(passed, name) == getattr(own, name), name
+        assert passed.diagnostics["converged"] == own.diagnostics["converged"]
+
+    @pytest.mark.parametrize("method", list(SOLVERS))
+    def test_matrix_of_another_graph_rejected(self, method):
+        graph, _ = gen_complete(CompleteModelParams(n=12, p=0.5, seed=3))
+        fewer = OffsetGraph(n=12, i=graph.i[1:], j=graph.j[1:], delta=graph.delta[1:])
+        larger, _ = gen_complete(CompleteModelParams(n=13, p=0.5, seed=3))
+        for other in (fewer, larger):
+            with pytest.raises(InvalidInputError, match="not the sync matrix"):
+                SOLVERS[method](graph, build_sync_matrix(other))
+
+    @pytest.mark.parametrize("method", list(SOLVERS))
+    def test_shifted_matrix_rejected(self, method):
+        graph, _ = gen_complete(CompleteModelParams(n=12, p=0.5, seed=3))
+        with pytest.raises(InvalidInputError, match="unshifted"):
+            SOLVERS[method](graph, build_sync_matrix(graph, diagonal_shift=0.3))
 
 
 def _per_component_lsqr(graph, opts=None):

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from angsync import eig
 from angsync.cli import derive_seed, main
 from angsync.core import read_instance, write_instance
 
@@ -234,6 +235,21 @@ class TestSweep:
         assert run(args + ["--out", str(a)]) == 0
         assert run(args + ["--tol", "1e-8", "--max-iters", "2000", "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_sync_matrix_built_once_per_instance(self, tmp_path, monkeypatch):
+        built = []
+        build = eig.build_sync_matrix
+
+        def counted(graph, *args, **kwargs):
+            built.append(graph)
+            return build(graph, *args, **kwargs)
+
+        monkeypatch.setattr(eig, "build_sync_matrix", counted)
+        out = tmp_path / "sw.csv"
+        assert run(["sweep", "--model", "complete", "--n", "12", "--p", "0.9,0.6",
+                    "--trials", "2", "--method", "eig,lsqr,sdp", "--out", str(out)]) == 0
+        assert len(read_csv(out)) == 12  # 4 instances x 3 methods
+        assert len({id(graph) for graph in built}) == len(built) == 4
 
     def test_seed_derivation_pure_function(self):
         assert derive_seed(7, 0, 0) == derive_seed(7, 0, 0)

@@ -7,11 +7,13 @@ from hypothesis import strategies as st
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
+import angsync.core
 from angsync.core import (
     TWO_PI,
     GroundTruth,
     InvalidInputError,
     OffsetGraph,
+    _mod2pi,
     align_global_phase,
     circdist,
     connected_component_labels,
@@ -64,6 +66,68 @@ def test_circdist_symmetric_and_bounded(a, b):
     assert d == pytest.approx(circdist(b, a))
 
 
+# The mod-free reductions must give np.mod's bits.  np.mod is kept here as
+# the reference, on the values where a shortcut could go wrong: signed
+# zeros and subnormals, both ends of each period, and non-finite input.
+EDGE_ANGLES = [-0.0, -1e-300, -5e-324, TWO_PI, np.nextafter(TWO_PI, 0.0),
+               np.nextafter(-TWO_PI, 0.0), np.nextafter(2.0 * TWO_PI, 0.0),
+               np.nan, np.inf, -np.inf]
+
+
+def _mod_reference(x):
+    with np.errstate(invalid="ignore"):
+        return np.mod(x, TWO_PI)
+
+
+def _reduce_reference(x):
+    out = _mod_reference(np.asarray(x, dtype=np.float64))
+    return np.where(out >= TWO_PI, 0.0, out)
+
+
+def _circdist_reference(a, b):
+    d = _mod_reference(np.abs(a - b))
+    return np.minimum(d, TWO_PI - d)
+
+
+class TestMod2Pi:
+    @pytest.mark.parametrize("x", EDGE_ANGLES)
+    def test_edge_values_bit_identical(self, x):
+        arr = np.array([x])
+        with np.errstate(invalid="ignore"):
+            assert _mod2pi(arr).tobytes() == _mod_reference(arr).tobytes()
+            assert reduce_angles(arr).tobytes() == _reduce_reference(arr).tobytes()
+            assert circdist(arr, 0.0).tobytes() == _circdist_reference(arr, 0.0).tobytes()
+
+    def test_edge_values_next_to_uniform_draws(self):
+        # the finite edge values inside one array that stays in (-2pi, 4pi)
+        finite = [x for x in EDGE_ANGLES if np.isfinite(x)]
+        x = np.concatenate([finite, np.random.default_rng(1).uniform(-6.0, 12.0, 100)])
+        assert _mod2pi(x).tobytes() == _mod_reference(x).tobytes()
+        assert reduce_angles(x).tobytes() == _reduce_reference(x).tobytes()
+
+    def test_tiny_negative_gives_two_pi(self):
+        assert _mod2pi(np.array([-1e-300]))[0] == TWO_PI
+        assert reduce_angles(-1e-300) == 0.0
+        assert not np.signbit(_mod2pi(np.array([-0.0]))[0])
+
+    def test_uniform_draws_bit_identical(self):
+        rng = np.random.default_rng(2024)
+        x = rng.uniform(-TWO_PI, 2.0 * TWO_PI, 10**6)
+        assert _mod2pi(x).tobytes() == _mod_reference(x).tobytes()
+        assert reduce_angles(x).tobytes() == _reduce_reference(x).tobytes()
+        # |a - b| spans [0, 4pi)
+        b = rng.uniform(0.0, TWO_PI, 10**6)
+        assert circdist(x, b).tobytes() == _circdist_reference(x, b).tobytes()
+
+    @pytest.mark.parametrize("x", [-TWO_PI, 2.0 * TWO_PI, -100.0, 1e300])
+    def test_out_of_range_falls_back(self, x):
+        arr = np.array([x, 0.5])
+        assert _mod2pi(arr).tobytes() == _mod_reference(arr).tobytes()
+
+    def test_empty(self):
+        assert _mod2pi(np.zeros(0)).size == 0
+
+
 class TestOffsetGraph:
     def test_valid_construction_reduces_delta(self):
         g = OffsetGraph(n=3, i=[0, 0], j=[1, 2], delta=[-0.5, TWO_PI + 1.0])
@@ -82,6 +146,28 @@ class TestOffsetGraph:
     def test_rejects_duplicates(self):
         with pytest.raises(InvalidInputError):
             OffsetGraph(n=3, i=[0, 0], j=[1, 1], delta=[0.0, 1.0])
+
+    def test_duplicate_in_unsorted_input_rejected(self):
+        with pytest.raises(InvalidInputError, match="duplicate"):
+            OffsetGraph(n=4, i=[0, 2, 1, 0], j=[3, 3, 2, 3], delta=[0.0, 1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize("i, j, sorts", [
+        ([0, 0, 1, 2], [1, 3, 2, 3], 0),  # codes i*n + j strictly ascend
+        ([2, 0, 1, 0], [3, 1, 2, 3], 1),  # unsorted: sort and diff
+    ])
+    def test_sort_only_for_unsorted_codes(self, monkeypatch, i, j, sorts):
+        calls = []
+        sort = np.sort
+
+        def counted(a, *args, **kwargs):
+            calls.append(a)
+            return sort(a, *args, **kwargs)
+
+        monkeypatch.setattr(angsync.core.np, "sort", counted)
+        g = OffsetGraph(n=4, i=i, j=j, delta=[0.1, 0.2, 0.3, 0.4])
+        monkeypatch.undo()
+        assert len(calls) == sorts
+        assert g.i.tolist() == i and g.j.tolist() == j
 
     def test_immutable(self):
         g = OffsetGraph(n=3, i=[0], j=[1], delta=[0.2])
