@@ -24,6 +24,7 @@ reported a failed check.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import os
 import platform
@@ -36,6 +37,14 @@ from importlib.metadata import version
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def workloads() -> tuple[str, ...]:
+    """The workload names perfbench/run.py accepts."""
+    spec = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench" / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    return run.WORKLOADS
 
 
 def git(*args) -> str:
@@ -90,7 +99,10 @@ def summarize(pairs, gated):
 
 def parse_seeds(text: str) -> list[int]:
     first, _, last = text.partition("-")
-    seeds = list(range(int(first), int(last or first) + 1))
+    first, last = int(first), int(last or first)
+    if last < first:
+        raise SystemExit(f"bench_pairs: seed range {text} runs backwards")
+    seeds = list(range(first, last + 1))
     if len(seeds) < 2:
         raise SystemExit("bench_pairs: need at least two seeds for quartiles")
     return seeds
@@ -99,7 +111,7 @@ def parse_seeds(text: str) -> list[int]:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("--workload", required=True)
+    ap.add_argument("--workload", required=True, choices=workloads())
     ap.add_argument("--seeds", required=True, help="inclusive range, e.g. 701-710")
     ap.add_argument("--label", required=True, help="output is BENCH_<label>.json")
     ap.add_argument("--base", default="HEAD", help="base revision (default HEAD)")
@@ -108,6 +120,7 @@ def main(argv=None) -> int:
     ap.add_argument("--tmpdir", default=None,
                     help="where to export the base revision (default: system temp)")
     args = ap.parse_args(argv)
+    seeds = parse_seeds(args.seeds)
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     gated = {m["name"]: m["better"] for m in bench["end_to_end"]}
@@ -118,7 +131,7 @@ def main(argv=None) -> int:
         export_revision(base_rev, tmp)
         trees = {"base": tmp, "change": ROOT}
         pairs = []
-        for k, seed in enumerate(parse_seeds(args.seeds)):
+        for k, seed in enumerate(seeds):
             order = ("base", "change") if k % 2 == 0 else ("change", "base")
             pair = {"seed": seed, "first": order[0]}
             for side in order:

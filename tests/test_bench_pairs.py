@@ -1,0 +1,62 @@
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parents[1] / "scripts" / "bench_pairs.py"
+_spec = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+
+class TestParseSeeds:
+    def test_range_is_inclusive(self):
+        assert bench_pairs.parse_seeds("701-710") == list(range(701, 711))
+
+    def test_single_seed_rejected(self):
+        with pytest.raises(SystemExit, match="at least two seeds"):
+            bench_pairs.parse_seeds("701")
+
+    def test_reversed_range_rejected(self):
+        with pytest.raises(SystemExit, match="runs backwards"):
+            bench_pairs.parse_seeds("710-701")
+
+
+def _pairs(base, change, name="m"):
+    return [{"base": {"metrics": {name: b}}, "change": {"metrics": {name: c}}}
+            for b, c in zip(base, change)]
+
+
+class TestSummarize:
+    @pytest.mark.parametrize("better, won", [("lower", 1), ("higher", 2)])
+    def test_pairs_won_follows_direction(self, better, won):
+        pairs = _pairs([1.0, 2.0, 3.0, 4.0], [0.5, 2.0, 3.5, 4.5])
+        out = bench_pairs.summarize(pairs, {"m": better})["m"]
+        assert out["pairs_won"] == won and out["pairs"] == 4
+        assert out["better"] == better
+
+    def test_median_ratio(self):
+        out = bench_pairs.summarize(_pairs([1.0, 2.0, 3.0], [2.0, 4.0, 6.0]),
+                                    {"m": "higher"})["m"]
+        assert out["base"] == {"median": 2.0, "q1": 1.5, "q3": 2.5}
+        assert out["median_ratio"] == 2.0
+
+    def test_median_ratio_skipped_for_zero_base(self):
+        out = bench_pairs.summarize(_pairs([0.0, 0.0, 0.0], [1.0, 0.0, 0.0]),
+                                    {"m": "lower"})["m"]
+        assert "median_ratio" not in out
+
+
+def test_unknown_workload_rejected_before_export(monkeypatch, capsys):
+    def export(*args):
+        raise AssertionError("exported the base tree for an unknown workload")
+
+    monkeypatch.setattr(bench_pairs, "export_revision", export)
+    with pytest.raises(SystemExit):
+        bench_pairs.main(["--workload", "no-such-workload", "--seeds", "1-2",
+                          "--label", "x"])
+    assert "invalid choice" in capsys.readouterr().err
+
+
+def test_workloads_are_perfbench_names():
+    assert "generate-solve" in bench_pairs.workloads()

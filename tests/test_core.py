@@ -1,4 +1,6 @@
 import hashlib
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from angsync.core import (
     GroundTruth,
     InvalidInputError,
     OffsetGraph,
+    _format_17g,
     _mod2pi,
     align_global_phase,
     circdist,
@@ -29,8 +32,10 @@ from angsync.core import (
 )
 from angsync.eig import estimate_eig
 from angsync.generators import (
+    ClockModelParams,
     CompleteModelParams,
     SmallWorldParams,
+    gen_clock,
     gen_complete,
     gen_small_world,
 )
@@ -517,3 +522,110 @@ class TestInstanceFile:
         path.write_text(f"3 2\n0 1 0.5\n0 2 {token}\n")
         with pytest.raises(InvalidInputError, match="finite"):
             read_instance(path)
+
+
+def _reference_write(path, graph, good_mask=None):
+    """The per-row writer that the vectorized write_instance replaced."""
+    cols = [graph.i.tolist(), graph.j.tolist(), graph.delta.tolist()]
+    fmt = "%d %d %.17g"
+    if good_mask is not None:
+        cols.append(np.asarray(good_mask, dtype=bool).tolist())
+        fmt += " %d"
+    rows = map(fmt.__mod__, zip(*cols))
+    Path(path).write_bytes(("\n".join([f"{graph.n} {graph.m}", *rows]) + "\n").encode())
+
+
+def _formatted(x):
+    """_format_17g's rows, 0 bytes dropped, each ended by a newline."""
+    rows = np.hstack([_format_17g(x), np.full((x.size, 1), ord("\n"), dtype=np.uint8)])
+    return rows[rows != 0].tobytes()
+
+
+def _formatted_reference(x):
+    return "".join("%.17g\n" % v for v in x.tolist()).encode()
+
+
+def _ties():
+    """Offsets j / 2**(17 + t), j odd, in decade -t: exactly halfway between
+    two 17-digit decimals, so they round half to even."""
+    rng = np.random.default_rng(17)
+    out = []
+    for t in range(5):
+        lo, hi = 10.0 ** -t, min(10.0 ** (1 - t), TWO_PI)
+        scale = 2.0 ** (17 + t)
+        j = 2 * rng.integers(np.ceil(lo * scale / 2), np.floor(hi * scale / 2), 2_000) + 1
+        out.append(j / scale)
+    return np.concatenate(out)
+
+
+class TestVectorizedWriter:
+    """write_instance and _format_17g against the per-row '%.17g' writer."""
+
+    def _assert_same_files(self, tmp_path, graph, mask):
+        for good in (mask, None):
+            write_instance(tmp_path / "new.txt", graph, good_mask=good)
+            _reference_write(tmp_path / "ref.txt", graph, good_mask=good)
+            assert (tmp_path / "new.txt").read_bytes() == (tmp_path / "ref.txt").read_bytes()
+
+    @pytest.mark.parametrize("n", [2, 9, 10, 11, 100, 101, 1000])
+    def test_complete_files_identical(self, tmp_path, n):
+        graph, truth = gen_complete(CompleteModelParams(n=n, p=0.4, seed=n))
+        self._assert_same_files(tmp_path, graph, truth.good_mask)
+
+    def test_small_world_and_clock_files_identical(self, tmp_path):
+        for graph, truth in [
+                gen_small_world(SmallWorldParams(n=300, epsilon=0.1, p=0.5, seed=4)),
+                gen_clock(ClockModelParams(n=120, edge_probability=0.3, sigma_good=0.01,
+                                           outlier_fraction=0.4, outlier_scale=50.0,
+                                           omega=1.0, seed=5))[:2]]:
+            self._assert_same_files(tmp_path, graph, truth.good_mask)
+
+    def test_wide_indices_identical(self, tmp_path):
+        # vertex indices of up to 7 digits take two 4-digit chunks
+        rng = np.random.default_rng(6)
+        n = 10**6 + 1
+        i = np.sort(rng.choice(n - 1, 500, replace=False))
+        j = i + rng.integers(1, n - i)
+        j[:3] = [1, 10, n - 1]
+        i[:3] = 0
+        graph = OffsetGraph(n=n, i=i, j=j, delta=rng.uniform(0.0, TWO_PI, i.size))
+        self._assert_same_files(tmp_path, graph, rng.random(i.size) < 0.5)
+
+    def test_empty_files_identical(self, tmp_path):
+        self._assert_same_files(tmp_path, OffsetGraph(n=3, i=[], j=[], delta=[]),
+                                np.zeros(0, dtype=bool))
+
+    def test_extreme_offsets_identical(self, tmp_path):
+        delta = [0.0, 5e-324, 1e-300, 9.999999999999999e-05, 1e-4, 2.0, 0.5, 3.0,
+                 np.nextafter(TWO_PI, 0.0)]
+        graph = OffsetGraph(n=10, i=np.zeros(9, dtype=int), j=np.arange(1, 10), delta=delta)
+        self._assert_same_files(tmp_path, graph, np.arange(9) % 2 == 0)
+
+    def test_decade_boundaries(self):
+        decades = 10.0 ** np.arange(-4, 1)
+        x = np.concatenate([decades, np.nextafter(decades, 0.0), np.nextafter(decades, 1.0)])
+        assert _formatted(x) == _formatted_reference(x)
+
+    def test_special_values(self):
+        x = np.array([np.nextafter(TWO_PI, 0.0), 0.0, 5e-324, 1e-300,
+                      9.999999999999999e-05, 0.5, 1.5, 2.0, 0.25, 1.0, 6.0, 0.125,
+                      0.1015625, 1e-4 + 2.0**-60,
+                      # outside the fixed-notation range: '%.17g' all the same
+                      -0.0, -1.5, TWO_PI, 10.0, 1e300, np.inf, -np.inf, np.nan])
+        assert _formatted(x) == _formatted_reference(x)
+
+    def test_exact_ties_round_half_even(self):
+        x = _ties()
+        for v in x[::97].tolist():
+            scaled = Fraction(v) * 10 ** (16 - int(np.floor(np.log10(v))))
+            assert scaled.denominator == 2
+        assert _formatted(x) == _formatted_reference(x)
+
+    def test_uniform_draws(self):
+        x = np.random.default_rng(8).uniform(0.0, TWO_PI, 10**6)
+        assert _formatted(x) == _formatted_reference(x)
+
+    def test_log_uniform_draws(self):
+        rng = np.random.default_rng(9)
+        x = np.exp(rng.uniform(np.log(1e-6), np.log(TWO_PI), 10**6))
+        assert _formatted(x) == _formatted_reference(x)
