@@ -30,7 +30,7 @@ from .core import (
     SyncMatrix,
     connected_component_labels,
 )
-from .eig import round_to_angles, sync_matrix_of
+from .eig import _estimate, sync_matrix_of
 
 
 @dataclass(frozen=True)
@@ -54,6 +54,10 @@ def estimate_lsqr(graph: OffsetGraph, opts: LsqrOptions | None = None, *,
     quotient use the given `H` (see `eig.sync_matrix_of`) when there is one.
     """
     opts = opts or LsqrOptions()
+    if opts.tol <= 0:
+        raise InvalidInputError("tol must be > 0")
+    if opts.max_iters is not None and opts.max_iters < 1:
+        raise InvalidInputError("max_iters must be >= 1")
     t0 = time.perf_counter()
     n = graph.n
     H = sync_matrix_of(graph, H)
@@ -79,25 +83,10 @@ def estimate_lsqr(graph: OffsetGraph, opts: LsqrOptions | None = None, *,
     residual = (float(np.linalg.norm(Lff @ u - rhs) / np.linalg.norm(rhs))
                 if rhs.size else 0.0)
 
-    theta_hat, flagged = round_to_angles(z)
-    znorm = np.linalg.norm(z)
-    v = z / znorm
-    rayleigh = float(np.vdot(v, H.matvec(v)).real)
-    return AngleEstimate(
-        theta_hat=theta_hat,
-        eigvec=v,
-        top_eigval=rayleigh,
-        iterations=iterations,
-        residual=residual,
-        method_tag="lsqr",
-        diagnostics={
-            "converged": info == 0,
-            "components": int(ncomp),
-            "disconnected": bool(ncomp > 1),
-            "flagged": flagged.tolist(),
-            "wall_ms": 1e3 * (time.perf_counter() - t0),
-        },
-    )
+    v = z / np.linalg.norm(z)
+    return _estimate("lsqr", t0, z, v, float(np.vdot(v, H.matvec(v)).real), iterations,
+                     residual, info == 0, components=int(ncomp),
+                     disconnected=bool(ncomp > 1))
 
 
 RANK_TOLERANCE = 1e-6  # relative singular-value cutoff for theta_rank
@@ -208,26 +197,13 @@ def estimate_sdp(graph: OffsetGraph, opts: SdpOptions | None = None, *,
     U, s, _ = np.linalg.svd(V, full_matrices=False)
     theta_rank = int(np.count_nonzero(s > RANK_TOLERANCE * s[0]))
     u1 = U[:, 0]
-    theta_hat, flagged = round_to_angles(u1)
-    rayleigh = float(np.vdot(u1, H.matvec(u1)).real)
     rel_improve = (trace[-1] - trace[-2]) / max(1.0, abs(trace[-1])) if len(trace) > 1 else 0.0
-    estimate = AngleEstimate(
-        theta_hat=theta_hat,
-        eigvec=u1,
-        top_eigval=rayleigh,
-        iterations=steps,
-        residual=float(rel_improve),
-        method_tag="sdp",
-        diagnostics={
-            "converged": bool(steps < 2 * opts.max_iters),
-            "objective": f,
-            "objective_traces": [trace1, trace2],  # each ascent separately
-            "singular_values": s.tolist(),
-            "theta_rank": theta_rank,
-            "rank": r,
-            "feasibility_max_dev": feas_dev,
-            "flagged": flagged.tolist(),
-            "wall_ms": 1e3 * (time.perf_counter() - t_start),
-        },
-    )
+    estimate = _estimate("sdp", t_start, u1, u1, float(np.vdot(u1, H.matvec(u1)).real),
+                         steps, float(rel_improve), steps < 2 * opts.max_iters,
+                         objective=f,
+                         objective_traces=[trace1, trace2],  # each ascent separately
+                         singular_values=s.tolist(),
+                         theta_rank=theta_rank,
+                         rank=r,
+                         feasibility_max_dev=feas_dev)
     return estimate, theta_rank

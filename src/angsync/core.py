@@ -217,7 +217,9 @@ class AngleEstimate:
     `eigvec` has unit Euclidean norm; `top_eigval` is the Rayleigh quotient of
     `eigvec` with the sync matrix (for the spectral method that is the top
     eigenvalue itself).  `residual` is the solver's relative convergence
-    measure at exit.
+    measure at exit.  Every method's `diagnostics` holds `converged` (bool)
+    first and `flagged` (indices rounded from a near-zero entry) and
+    `wall_ms` (the estimator's own timer) last, with its own keys between.
     """
 
     theta_hat: np.ndarray

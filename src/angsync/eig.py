@@ -35,11 +35,15 @@ ZERO_MAGNITUDE = 1e-14
 
 def build_sync_matrix(graph: OffsetGraph, diagonal_shift: float = 0.0) -> SyncMatrix:
     """H_ij = exp(i delta_ij) at measured pairs, conjugate at (j, i), zero
-    elsewhere; constant diagonal `diagonal_shift`."""
+    elsewhere; constant diagonal `diagonal_shift`.
+
+    The conjugate half comes first: in row r its columns lie below r and the
+    forward half's above, so when the edges are in ascending (i, j) order
+    every row arrives sorted and the CSR conversion sorts nothing."""
     w = np.exp(1j * graph.delta)
     entries = sp.coo_matrix(
-        (np.concatenate([w, w.conj()]),
-         (np.concatenate([graph.i, graph.j]), np.concatenate([graph.j, graph.i]))),
+        (np.concatenate([w.conj(), w]),
+         (np.concatenate([graph.j, graph.i]), np.concatenate([graph.i, graph.j]))),
         shape=(graph.n, graph.n),
     ).tocsr()
     return SyncMatrix(n=graph.n, entries=entries, diagonal_shift=float(diagonal_shift))
@@ -155,6 +159,31 @@ def round_to_angles(eigvec: np.ndarray):
     return theta, flagged
 
 
+def _estimate(method_tag: str, t0: float, z, v, top_eigval: float, iterations: int,
+              residual: float, converged: bool, **extra) -> AngleEstimate:
+    """The ending every estimator shares: round `z` to angles and report `v`.
+
+    `v` is the unit-norm vector reported as `eigvec` (for eig and sdp the
+    same array as `z`; it is never renormalized here).  The diagnostics are
+    `converged`, the method's `extra` keys in order, `flagged` and `wall_ms`,
+    the time since `t0`."""
+    theta_hat, flagged = round_to_angles(z)
+    return AngleEstimate(
+        theta_hat=theta_hat,
+        eigvec=v,
+        top_eigval=top_eigval,
+        iterations=iterations,
+        residual=residual,
+        method_tag=method_tag,
+        diagnostics={
+            "converged": bool(converged),
+            **extra,
+            "flagged": flagged.tolist(),
+            "wall_ms": 1e3 * (time.perf_counter() - t0),
+        },
+    )
+
+
 @dataclass(frozen=True)
 class EigOptions:
     tol: float = 1e-10
@@ -176,21 +205,8 @@ def estimate_eig(graph: OffsetGraph, opts: EigOptions | None = None, *,
     entries = sync_matrix_of(graph, H).entries
     H = SyncMatrix(n=graph.n, entries=entries, diagonal_shift=float(opts.diagonal_shift))
     res = top_eigpair(H, tol=opts.tol, max_iters=opts.max_iters, seed=opts.seed)
-    theta_hat, flagged = round_to_angles(res.eigvec)
-    return AngleEstimate(
-        theta_hat=theta_hat,
-        eigvec=res.eigvec,
-        top_eigval=res.eigval,
-        iterations=res.iterations,
-        residual=res.residual,
-        method_tag="eig",
-        diagnostics={
-            "converged": res.converged,
-            "diagonal_shift": opts.diagonal_shift,
-            "flagged": flagged.tolist(),
-            "wall_ms": 1e3 * (time.perf_counter() - t0),
-        },
-    )
+    return _estimate("eig", t0, res.eigvec, res.eigvec, res.eigval, res.iterations,
+                     res.residual, res.converged, diagonal_shift=opts.diagonal_shift)
 
 
 def triangle_consistency_score(graph: OffsetGraph, sample_size: int, seed: int = 0) -> float:

@@ -56,6 +56,13 @@ class TestLsqr:
             sub = est.theta_hat[verts] - theta[verts]
             assert np.abs(np.exp(1j * sub) - np.exp(1j * sub[0])).max() < 1e-6
 
+    @pytest.mark.parametrize("opts", [LsqrOptions(tol=0.0), LsqrOptions(tol=-1.0),
+                                      LsqrOptions(max_iters=0), LsqrOptions(max_iters=-3)])
+    def test_bad_options(self, opts):
+        graph, _ = gen_complete(CompleteModelParams(n=12, p=0.5, seed=3))
+        with pytest.raises(InvalidInputError, match="tol|max_iters"):
+            estimate_lsqr(graph, opts)
+
     def test_noise_degrades_but_runs(self):
         graph, truth = gen_small_world(SmallWorldParams(n=100, epsilon=0.3, p=0.5, seed=9))
         est = estimate_lsqr(graph, LsqrOptions(tol=1e-10))
@@ -100,6 +107,24 @@ class TestPassedSyncMatrix:
         graph, _ = gen_complete(CompleteModelParams(n=12, p=0.5, seed=3))
         with pytest.raises(InvalidInputError, match="unshifted"):
             SOLVERS[method](graph, build_sync_matrix(graph, diagonal_shift=0.3))
+
+
+DIAGNOSTIC_KEYS = {
+    "eig": ["converged", "diagonal_shift", "flagged", "wall_ms"],
+    "lsqr": ["converged", "components", "disconnected", "flagged", "wall_ms"],
+    "sdp": ["converged", "objective", "objective_traces", "singular_values",
+            "theta_rank", "rank", "feasibility_max_dev", "flagged", "wall_ms"],
+}
+
+
+@pytest.mark.parametrize("method", list(DIAGNOSTIC_KEYS))
+def test_diagnostics_contract(method):
+    graph, _ = gen_complete(CompleteModelParams(n=20, p=0.5, seed=8))
+    est = SOLVERS[method](graph, None)
+    assert est.method_tag == method
+    assert list(est.diagnostics) == DIAGNOSTIC_KEYS[method]
+    assert type(est.diagnostics["converged"]) is bool
+    assert est.diagnostics["wall_ms"] >= 0.0
 
 
 def _per_component_lsqr(graph, opts=None):

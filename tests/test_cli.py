@@ -1,10 +1,11 @@
 import csv
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from angsync import eig
+from angsync import baselines, eig
 from angsync.cli import derive_seed, main
 from angsync.core import read_instance, write_instance
 
@@ -165,6 +166,54 @@ class TestSolve:
         assert run(["solve", str(out), "--method", "lsqr", "--tol", "1e-14",
                     "--max-iters", "1"]) == 0
         assert "iterations=1 " in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--tol", "0", "tol must be > 0"),
+        ("--tol", "-1", "tol must be > 0"),
+        ("--max-iters", "0", "max_iters must be >= 1"),
+    ], ids=["tol-0", "tol-negative", "max-iters-0"])
+    def test_lsqr_rejects_bad_options(self, tmp_path, capsys, flag, value, message):
+        out = tmp_path / "inst.txt"
+        run(["generate", "--model", "complete", "--n", "8", "--p", "1",
+             "--seed", "2", "--out", str(out)])
+        capsys.readouterr()
+        assert run(["solve", str(out), "--method", "lsqr", flag, value, "--strict"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert "converged" not in captured.out
+
+
+def timed_123(monkeypatch, module, name):
+    """Make `module.name` return estimates whose own timer reads 123 ms."""
+    estimate = getattr(module, name)
+
+    def stamped(*args, **kwargs):
+        est = estimate(*args, **kwargs)
+        return dataclasses.replace(est, diagnostics={**est.diagnostics, "wall_ms": 123.0})
+
+    monkeypatch.setattr(module, name, stamped)
+
+
+class TestWallMs:
+    """solve and sweep print the estimate's own `wall_ms`, not a second timer."""
+
+    def test_solve_prints_estimate_wall_ms(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "inst.txt"
+        run(["generate", "--model", "complete", "--n", "8", "--p", "1",
+             "--seed", "2", "--out", str(out)])
+        timed_123(monkeypatch, baselines, "estimate_lsqr")
+        capsys.readouterr()
+        assert run(["solve", str(out), "--method", "lsqr"]) == 0
+        assert " wall_ms=123.0 " in capsys.readouterr().out
+
+    def test_sweep_row_carries_estimate_wall_ms(self, tmp_path, monkeypatch):
+        timed_123(monkeypatch, eig, "estimate_eig")
+        out = tmp_path / "sw.csv"
+        assert run(["sweep", "--n", "10", "--p", "0.9", "--trials", "1",
+                    "--method", "eig,lsqr", "--out", str(out)]) == 0
+        rows = {row["method"]: row for row in read_csv(out)}
+        assert float(rows["eig"]["wall_ms"]) == 123.0
+        assert float(rows["lsqr"]["wall_ms"]) != 123.0
 
 
 def read_csv(path):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.integrate import quad
 
 from angsync.core import (
@@ -31,6 +32,21 @@ def all_good_triangle(theta):
     return OffsetGraph(n=3, i=[0, 0, 1], j=[1, 2, 2], delta=delta)
 
 
+def reference_sync_entries(graph):
+    """H's CSR entries built with the forward half (i, j) first."""
+    w = np.exp(1j * graph.delta)
+    return sp.coo_matrix(
+        (np.concatenate([w, w.conj()]),
+         (np.concatenate([graph.i, graph.j]), np.concatenate([graph.j, graph.i]))),
+        shape=(graph.n, graph.n),
+    ).tocsr()
+
+
+def reversed_edges(graph):
+    return OffsetGraph(n=graph.n, i=graph.i[::-1], j=graph.j[::-1],
+                       delta=graph.delta[::-1])
+
+
 class TestBuildSyncMatrix:
     def test_single_edge_with_shift(self):
         g = OffsetGraph(n=2, i=[0], j=[1], delta=[0.0])
@@ -56,6 +72,19 @@ class TestBuildSyncMatrix:
         assert np.max(np.abs(dense - dense.conj().T)) == 0.0
         assert H.nnz_offdiag == 2 * graph.m
         assert np.allclose(np.abs(H.entries.data), 1.0)
+
+    @pytest.mark.parametrize("graph", [
+        gen_complete(CompleteModelParams(n=60, p=0.3, seed=5))[0],
+        gen_small_world(SmallWorldParams(n=200, epsilon=0.3, p=0.5, seed=5))[0],
+        reversed_edges(gen_complete(CompleteModelParams(n=60, p=0.3, seed=5))[0]),
+    ], ids=["sorted", "small-world", "reversed"])
+    def test_same_arrays_as_forward_half_first(self, graph):
+        entries = build_sync_matrix(graph).entries
+        ref = reference_sync_entries(graph)
+        assert entries.has_sorted_indices
+        assert entries.indptr.tobytes() == ref.indptr.tobytes()
+        assert entries.indices.tobytes() == ref.indices.tobytes()
+        assert entries.data.tobytes() == ref.data.tobytes()
 
 
 class TestTopEigpair:
