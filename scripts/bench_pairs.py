@@ -121,6 +121,9 @@ def main(argv=None) -> int:
                     help="where to export the base revision (default: system temp)")
     args = ap.parse_args(argv)
     seeds = parse_seeds(args.seeds)
+    if args.tmpdir is not None and not Path(args.tmpdir).is_dir():
+        print(f"bench_pairs: --tmpdir {args.tmpdir} is not a directory", file=sys.stderr)
+        return 2
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     gated = {m["name"]: m["better"] for m in bench["end_to_end"]}

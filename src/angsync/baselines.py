@@ -54,8 +54,8 @@ def estimate_lsqr(graph: OffsetGraph, opts: LsqrOptions | None = None, *,
     quotient use the given `H` (see `eig.sync_matrix_of`) when there is one.
     """
     opts = opts or LsqrOptions()
-    if opts.tol <= 0:
-        raise InvalidInputError("tol must be > 0")
+    if not 0 < opts.tol < math.inf:
+        raise InvalidInputError("tol must be finite and > 0")
     if opts.max_iters is not None and opts.max_iters < 1:
         raise InvalidInputError("max_iters must be >= 1")
     t0 = time.perf_counter()
@@ -171,7 +171,7 @@ def estimate_sdp(graph: OffsetGraph, opts: SdpOptions | None = None, *,
     r = opts.rank if opts.rank is not None else default_sdp_rank(n)
     if not 1 <= r <= n:
         raise InvalidInputError(f"rank must lie in [1, {n}], got {r}")
-    if opts.max_iters < 1 or opts.step_tolerance < 0:
+    if opts.max_iters < 1 or not 0 <= opts.step_tolerance < math.inf:
         raise InvalidInputError("bad solver options")
 
     t_start = time.perf_counter()

@@ -29,6 +29,8 @@ from .core import (
 
 SCHEMA_VERSION = 1
 
+METHODS = ("eig", "sdp", "lsqr")
+
 ROW_COLUMNS = ["model", "n", "m", "p", "seed", "method", "rho1", "rho2",
                "lambda1", "objective", "iterations", "wall_ms", "np2",
                "pred_rho2", "pred_lambda1_mu", "pred_p_threshold"]
@@ -131,7 +133,7 @@ def _reject_unsupported(methods, flags: dict) -> None:
 
 def _solve_one(graph, method: str, tol: float, max_iters, shift: float, seed: int,
                H=None):
-    """Run `method` on `graph`, on the prebuilt sync matrix `H` when given."""
+    """Run `method` (one of METHODS) on `graph`, on the prebuilt `H` when given."""
     if method == "eig":
         opts = eig.EigOptions(tol=tol, max_iters=max_iters,
                               diagonal_shift=shift, seed=seed)
@@ -139,11 +141,9 @@ def _solve_one(graph, method: str, tol: float, max_iters, shift: float, seed: in
     if method == "lsqr":
         opts = baselines.LsqrOptions(tol=tol, max_iters=max_iters)
         return baselines.estimate_lsqr(graph, opts, H=H)
-    if method == "sdp":
-        opts = baselines.SdpOptions(seed=seed)
-        est, _rank = baselines.estimate_sdp(graph, opts, H=H)
-        return est
-    raise AngsyncError(f"unknown method {method!r}")
+    opts = baselines.SdpOptions(seed=seed)
+    est, _rank = baselines.estimate_sdp(graph, opts, H=H)
+    return est
 
 
 def cmd_solve(args) -> int:
@@ -219,6 +219,10 @@ def cmd_sweep(args) -> int:
     methods = [tok.strip() for tok in args.method.split(",") if tok.strip()]
     if not methods:
         raise AngsyncError("no methods given")
+    for k, method in enumerate(methods):
+        if method not in METHODS or method in methods[:k]:
+            what = "repeated" if method in METHODS else "unknown"
+            raise AngsyncError(f"{what} method {method!r} (choose from {', '.join(METHODS)})")
     if args.trials < 1:
         raise AngsyncError("need trials >= 1")
     _reject_unsupported(methods, {"--tol": args.tol, "--max-iters": args.max_iters})
@@ -346,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     slv = sub.add_parser("solve", help="run one solver on an instance file")
     slv.add_argument("instance")
-    slv.add_argument("--method", choices=["eig", "sdp", "lsqr"], default="eig")
+    slv.add_argument("--method", choices=METHODS, default="eig")
     slv.add_argument("--tol", type=float, default=None,
                      help="convergence tolerance (eig, lsqr; default 1e-10)")
     slv.add_argument("--max-iters", type=int, default=None,

@@ -182,6 +182,10 @@ class SyncMatrix:
     entries: sp.csr_matrix
     diagonal_shift: float = 0.0
 
+    def __post_init__(self):
+        if not np.isfinite(self.diagonal_shift):
+            raise InvalidInputError("diagonal_shift must be finite")
+
     def matvec(self, v: np.ndarray) -> np.ndarray:
         out = self.entries @ v
         if self.diagonal_shift != 0.0:
@@ -311,14 +315,9 @@ def evaluate(graph: OffsetGraph, truth: GroundTruth, estimate: AngleEstimate,
 def connected_component_labels(graph: OffsetGraph):
     """(component count, per-vertex labels) of the measurement graph.
 
-    One CSR of the stored i -> j edges (m entries, rows from a bincount of
-    i) suffices: `connected_components(directed=False)` follows each entry
-    both ways."""
-    n = graph.n
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(graph.i, minlength=n), out=indptr[1:])
-    order = np.argsort(graph.i, kind="stable")
-    edges = sp.csr_matrix((np.ones(graph.m), graph.j[order], indptr), shape=(n, n))
+    One CSR of the stored i -> j edges (m entries) suffices:
+    `connected_components(directed=False)` follows each entry both ways."""
+    edges = sp.csr_matrix((np.ones(graph.m), (graph.i, graph.j)), shape=(graph.n, graph.n))
     return _cc(edges, directed=False)
 
 

@@ -98,8 +98,8 @@ def top_eigpair(H: SyncMatrix, tol: float = 1e-10, max_iters: int | None = None,
     eigenvector bit for bit.  For n < 3, where ARPACK cannot take k = 1, the
     pair comes from a dense ``eigh``.
     """
-    if tol <= 0:
-        raise InvalidInputError("tol must be > 0")
+    if not 0 < tol < math.inf:
+        raise InvalidInputError("tol must be finite and > 0")
     if max_iters is None:
         max_iters = default_max_iters(H.n)
     if max_iters < 1:
@@ -219,18 +219,16 @@ def triangle_consistency_score(graph: OffsetGraph, sample_size: int, seed: int =
     """
     if sample_size < 1:
         raise InvalidInputError("sample_size must be >= 1")
-    n, m = graph.n, graph.m
     # CSR of signed offsets, S[a, b] = delta_ab and S[b, a] = -delta_ab, each
-    # row's columns ascending
+    # row's columns ascending (the conversion sorts them; no pair repeats)
     rows = np.concatenate([graph.i, graph.j])
     cols = np.concatenate([graph.j, graph.i])
-    by_row = np.argsort(rows * n + cols)
-    cols = cols[by_row]
-    signed = np.concatenate([graph.delta, -graph.delta])[by_row]
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
+    S = sp.csr_matrix((np.concatenate([graph.delta, -graph.delta]), (rows, cols)),
+                      shape=(graph.n, graph.n))
+    indptr, cols, signed = S.indptr, S.indices, S.data
 
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(29,)))
-    order = rng.permutation(m)
+    order = rng.permutation(graph.m)
     total = 0.0
     count = 0
     for e in order:

@@ -133,76 +133,40 @@ def _sphere_points(rng, n):
     return pts / np.linalg.norm(pts, axis=1, keepdims=True)
 
 
-def _bounded_draws(words, n):
-    """Decode raw PCG64 words into the draws of scalar `integers(0, n)`.
-
-    numpy draws a bounded int64 with range below 2**32 by Lemire's method
-    (arXiv 1805.10941, its `bounded_lemire_uint32`) on successive 32-bit
-    halves of the raw stream, low half first: a half u gives (u*n) >> 32,
-    unless (u*n) mod 2**32 < (2**32 - n) mod n, in which case u is rejected
-    and the next half is tried.  Returns the accepted values and the index of
-    each among the halves.  Exact only for n < 2**32, where u*n fits in 64
-    bits; the dense Gram matrix of `gen_small_world` caps n far below that.
-    """
-    halves = np.empty(2 * words.size, dtype=np.uint64)
-    halves[0::2] = words & 0xFFFFFFFF
-    halves[1::2] = words >> 32
-    scaled = halves * np.uint64(n)
-    accepted = (scaled & 0xFFFFFFFF) >= (2 ** 32 - n) % n
-    return (scaled[accepted] >> 32).tolist(), np.flatnonzero(accepted)
-
-
 def _rewire_pairs(rewire, n, base_i, base_j, rewired):
     """Fresh endpoints for the edges `rewired` (ascending indices into the
     base edges), one edge at a time.
 
     Each rewired edge leaves the edge set, then pairs a, b = integers(0, n)
     are drawn until a != b and the ordered pair is not an edge.  The draws
-    are decoded in bulk from raw words (`_bounded_draws`); afterwards
-    `rewire` is left exactly where the scalar draws would leave it, its
-    buffered high half included.  `rewire` must hold no buffered half on
-    entry (it has drawn only doubles).
+    come in chunks of `rewire.integers(0, n, size=...)`, which gives the same
+    values as that many scalar calls.  Afterwards `rewire` is rewound and
+    exactly the values used are redrawn, so it is left where the scalar
+    draws would leave it.
     """
-    bitgen = rewire.bit_generator
-    saved = bitgen.state
+    saved = rewire.bit_generator.state
     keys = base_i * n + base_j
     edges = set(keys.tolist())
-    chunk = rewired.size + rewired.size // 4 + 64
-    drawn = 0  # raw words drawn so far
-    values, positions, t = [], np.empty(0, dtype=np.int64), 0
+    chunk = 2 * (rewired.size + rewired.size // 4) + 128  # ~1.25 attempts per edge
+    values, t = [], 0
     new_i, new_j = [], []
     for old in keys[rewired].tolist():
         edges.discard(old)
         while True:
-            while t + 2 > len(values):
-                # continue the stream; keep an undrawn value and its position
-                fresh = bitgen.random_raw(chunk)
-                more, at = _bounded_draws(fresh, n)
-                values = values[t:] + more
-                positions = np.concatenate([positions[t:], at + 2 * drawn])
-                drawn += fresh.size
-                t = 0
+            if t + 2 > len(values):
+                values += rewire.integers(0, n, size=chunk).tolist()
             a, b = values[t], values[t + 1]
             t += 2
-            if a == b:
-                continue
             if a > b:
                 a, b = b, a
-            if a * n + b not in edges:
+            if a != b and a * n + b not in edges:
                 break
         edges.add(a * n + b)
         new_i.append(a)
         new_j.append(b)
 
-    used = int(positions[t - 1]) + 1 if t else 0
-    bitgen.state = saved
-    bitgen.advance(used // 2)
-    if used % 2:
-        # the last word's low half was used; its high half stays buffered
-        high = int(bitgen.random_raw()) >> 32
-        state = bitgen.state
-        state["has_uint32"], state["uinteger"] = 1, high
-        bitgen.state = state
+    rewire.bit_generator.state = saved
+    rewire.integers(0, n, size=t)
     return new_i, new_j
 
 
@@ -212,8 +176,8 @@ def gen_small_world(params: SmallWorldParams):
     pair carrying a uniform offset.  Edge count is preserved exactly; kept
     edges are good with exact offsets.
 
-    The rewiring draws are decoded in bulk from the 32-bit halves of raw PCG64
-    words (`_rewire_pairs`), giving the same instances as one scalar
+    The rewiring draws come in bulk from vectorized `integers(0, n, size=...)`
+    calls (`_rewire_pairs`), giving the same instances as one scalar
     `integers(0, n)` call per endpoint."""
     n = params.n
     pts = _sphere_points(_rng(params.seed, _STREAM_GRAPH), n)

@@ -57,7 +57,8 @@ class TestLsqr:
             assert np.abs(np.exp(1j * sub) - np.exp(1j * sub[0])).max() < 1e-6
 
     @pytest.mark.parametrize("opts", [LsqrOptions(tol=0.0), LsqrOptions(tol=-1.0),
-                                      LsqrOptions(max_iters=0), LsqrOptions(max_iters=-3)])
+                                      LsqrOptions(max_iters=0), LsqrOptions(max_iters=-3),
+                                      LsqrOptions(tol=np.nan), LsqrOptions(tol=np.inf)])
     def test_bad_options(self, opts):
         graph, _ = gen_complete(CompleteModelParams(n=12, p=0.5, seed=3))
         with pytest.raises(InvalidInputError, match="tol|max_iters"):
@@ -291,6 +292,9 @@ class TestSdp:
             estimate_sdp(graph, SdpOptions(rank=11))
         with pytest.raises(InvalidInputError):
             estimate_sdp(graph, SdpOptions(max_iters=0))
+        for bad in (-1.0, np.nan, np.inf):
+            with pytest.raises(InvalidInputError):
+                estimate_sdp(graph, SdpOptions(step_tolerance=bad))
 
     def test_default_rank(self):
         assert default_sdp_rank(200) == 20

@@ -58,5 +58,19 @@ def test_unknown_workload_rejected_before_export(monkeypatch, capsys):
     assert "invalid choice" in capsys.readouterr().err
 
 
+def test_missing_tmpdir_rejected_before_export(monkeypatch, capsys, tmp_path):
+    def fail(*args):
+        raise AssertionError("ran git with a missing --tmpdir")
+
+    monkeypatch.setattr(bench_pairs, "git", fail)
+    monkeypatch.setattr(bench_pairs, "export_revision", fail)
+    missing = tmp_path / "missing"
+    assert bench_pairs.main(["--workload", "generate-solve", "--seeds", "1-2",
+                             "--label", "x", "--tmpdir", str(missing)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"bench_pairs: --tmpdir {missing} is not a directory\n"
+    assert not missing.exists()
+
+
 def test_workloads_are_perfbench_names():
     assert "generate-solve" in bench_pairs.workloads()

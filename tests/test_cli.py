@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from angsync import baselines, eig
+from angsync import baselines, cli, eig
 from angsync.cli import derive_seed, main
 from angsync.core import read_instance, write_instance
 
@@ -149,6 +149,19 @@ class TestSolve:
         assert run(["solve", str(out), "--method", "eig", "--shift", "5"]) == 0
         assert "rho1=1.0000" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--tol", "nan"), ("--shift", "nan"), ("--shift", "inf"),
+    ])
+    def test_eig_rejects_non_finite_options(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "inst.txt"
+        run(["generate", "--model", "complete", "--n", "8", "--p", "1",
+             "--seed", "2", "--out", str(out)])
+        capsys.readouterr()
+        assert run(["solve", str(out), "--method", "eig", flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+        assert "converged" not in captured.out
+
     @pytest.mark.parametrize("method", ["eig", "lsqr"])
     @pytest.mark.parametrize("flag, value", [("--tol", "1e-6"),
                                              ("--max-iters", "50")])
@@ -168,10 +181,12 @@ class TestSolve:
         assert "iterations=1 " in capsys.readouterr().out
 
     @pytest.mark.parametrize("flag, value, message", [
-        ("--tol", "0", "tol must be > 0"),
-        ("--tol", "-1", "tol must be > 0"),
+        ("--tol", "0", "tol must be finite and > 0"),
+        ("--tol", "-1", "tol must be finite and > 0"),
+        ("--tol", "nan", "tol must be finite and > 0"),
+        ("--tol", "inf", "tol must be finite and > 0"),
         ("--max-iters", "0", "max_iters must be >= 1"),
-    ], ids=["tol-0", "tol-negative", "max-iters-0"])
+    ], ids=["tol-0", "tol-negative", "tol-nan", "tol-inf", "max-iters-0"])
     def test_lsqr_rejects_bad_options(self, tmp_path, capsys, flag, value, message):
         out = tmp_path / "inst.txt"
         run(["generate", "--model", "complete", "--n", "8", "--p", "1",
@@ -275,6 +290,22 @@ class TestSweep:
         assert err.startswith("error:") and flags[0] in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("methods, message", [
+        ("eig,eig", "repeated method 'eig'"), ("eig,foo", "unknown method 'foo'"),
+    ])
+    def test_bad_method_list_rejected_before_generating(self, tmp_path, capsys,
+                                                        monkeypatch, methods, message):
+        def generate(*args):
+            raise AssertionError("generated an instance for a bad method list")
+
+        monkeypatch.setattr(cli, "_generate", generate)
+        out = tmp_path / "sw.csv"
+        code = run(["sweep", "--model", "complete", "--n", "10", "--p", "0.9",
+                    "--trials", "1", "--method", methods, "--out", str(out)])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists() and not (tmp_path / "sw.agg.csv").exists()
+
     def test_default_tol_and_budget_resolve_as_before(self, tmp_path):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
@@ -347,6 +378,14 @@ class TestSpectrum:
         out = tmp_path / "spec.csv"
         assert run(["spectrum", "--in", str(inst), "--out", str(out)]) == 0
         assert len(read_csv(out)) == 10
+
+    @pytest.mark.parametrize("shift", ["nan", "inf"])
+    def test_non_finite_shift_exits_2(self, tmp_path, capsys, shift):
+        out = tmp_path / "spec.csv"
+        assert run(["spectrum", "--model", "complete", "--n", "12", "--p", "1",
+                    "--shift", shift, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: diagonal_shift must be finite\n"
+        assert not out.exists()
 
 
 class TestTheory:

@@ -57,6 +57,12 @@ class TestBuildSyncMatrix:
         v = res.eigvec
         assert abs(abs(np.vdot(v, np.array([1, 1]) / np.sqrt(2))) - 1) < 1e-8
 
+    @pytest.mark.parametrize("shift", [np.nan, np.inf, -np.inf])
+    def test_non_finite_shift_rejected(self, shift):
+        g = OffsetGraph(n=2, i=[0], j=[1], delta=[0.0])
+        with pytest.raises(InvalidInputError, match="diagonal_shift must be finite"):
+            build_sync_matrix(g, diagonal_shift=shift)
+
     def test_triangle_entries(self):
         g = all_good_triangle([0.0, np.pi / 2, np.pi])
         dense = build_sync_matrix(g).to_dense()
@@ -163,8 +169,9 @@ class TestTopEigpair:
     def test_bad_options(self):
         g = OffsetGraph(n=2, i=[0], j=[1], delta=[0.0])
         H = build_sync_matrix(g)
-        with pytest.raises(InvalidInputError):
-            top_eigpair(H, tol=0.0)
+        for tol in (0.0, np.nan, np.inf):
+            with pytest.raises(InvalidInputError, match="tol"):
+                top_eigpair(H, tol=tol)
         with pytest.raises(InvalidInputError):
             top_eigpair(H, max_iters=0)
 

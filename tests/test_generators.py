@@ -194,8 +194,9 @@ def _rng_emitting(first_word, seed=0):
 
 
 class TestBulkRewiring:
-    """The rewiring draws are decoded in bulk from raw PCG64 words; instances
-    must equal those of the scalar loop bit for bit."""
+    """The rewiring draws come in bulk from vectorized `integers` calls;
+    instances, and the generator state left behind, must equal those of the
+    scalar loop bit for bit."""
 
     @pytest.mark.parametrize("n, epsilon, p", [
         (300, 0.2, 0.5), (500, 0.1, 0.3), (2000, 0.05, 0.3),
@@ -227,18 +228,21 @@ class TestBulkRewiring:
             _scalar_rewire_pairs(counting, 50, base.i, base.j, range(base.m))
             assert counting.draws / 2 > 2 * base.m
 
-    def test_lemire_rejection_decoded_like_numpy(self):
-        # low half 0 is rejected whenever (2**32 - n) % n > 0; the high half
-        # is then the draw
-        word = 0x89ABCDEF << 32
-        for n in (300, 2000, 12345, 3_000_000_000):
-            assert (2 ** 32 - n) % n > 0
-            values, positions = generators._bounded_draws(
-                np.array([word], dtype=np.uint64), n)
-            rng = _rng_emitting(word)
-            assert values == [int(rng.integers(0, n))]
-            assert positions.tolist() == [1]
-            assert rng.bit_generator.state["has_uint32"] == 0
+    def test_buffered_half_on_entry_matches_scalar_loop(self):
+        # one scalar draw leaves the high half of a word buffered; the bulk
+        # draws must start from it, as the scalar ones do
+        graph, _ = gen_small_world(SmallWorldParams(n=50, epsilon=1.5, p=1.0, seed=4))
+        rewired = np.arange(graph.m)
+        for seed in range(5):
+            bulk, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
+            for rng in (bulk, scalar):
+                rng.integers(0, 50)
+            assert bulk.bit_generator.state["has_uint32"] == 1
+            got = generators._rewire_pairs(bulk, 50, graph.i, graph.j, rewired)
+            want = _scalar_rewire_pairs(scalar, 50, graph.i, graph.j, rewired)
+            assert got == want
+            assert bulk.bit_generator.state == scalar.bit_generator.state
+            assert bulk.random() == scalar.random()
 
     def test_rejected_half_gives_odd_count_and_same_state(self):
         # A rejected first half makes the halves used odd, leaves one decoded
