@@ -225,9 +225,16 @@ def cmd_sweep(args) -> int:
             raise AngsyncError(f"{what} method {method!r} (choose from {', '.join(METHODS)})")
     if args.trials < 1:
         raise AngsyncError("need trials >= 1")
+    if args.workers < 1:
+        raise AngsyncError("need workers >= 1")
     _reject_unsupported(methods, {"--tol": args.tol, "--max-iters": args.max_iters})
     tol = 1e-8 if args.tol is None else args.tol
     max_iters = 2000 if args.max_iters is None else args.max_iters
+    # the estimators' own checks, made before anything is generated
+    if not 0 < tol < float("inf"):
+        raise AngsyncError("tol must be finite and > 0")
+    if max_iters < 1:
+        raise AngsyncError("max_iters must be >= 1")
 
     tasks = []
     for p_index, p in enumerate(p_grid):

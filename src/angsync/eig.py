@@ -209,6 +209,19 @@ def estimate_eig(graph: OffsetGraph, opts: EigOptions | None = None, *,
                      res.residual, res.converged, diagonal_shift=opts.diagonal_shift)
 
 
+_TRIANGLE_BATCH = 128  # edges whose common neighbourhoods one intersect1d call finds
+
+
+def _row_entries(indptr, rows):
+    """Positions of the CSR entries of `rows`, concatenated row after row,
+    and for each position the index into `rows` it belongs to."""
+    starts = indptr[rows]
+    lengths = indptr[rows + 1] - starts
+    owner = np.repeat(np.arange(rows.size), lengths)
+    offset = np.arange(owner.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    return owner, starts[owner] + offset
+
+
 def triangle_consistency_score(graph: OffsetGraph, sample_size: int, seed: int = 0) -> float:
     """Mean of |e^{i(d_ij + d_jk + d_ki)} - 1| over sampled triangles.
 
@@ -216,6 +229,11 @@ def triangle_consistency_score(graph: OffsetGraph, sample_size: int, seed: int =
     order and draws triangles from common neighborhoods, so high-degree
     regions are sampled more often; this is a diagnostic, not an estimator.
     Raises NoTrianglesError when a full pass finds no triangle.
+
+    The edges are taken in batches of 128: one ``intersect1d`` call finds
+    the common neighbours of a whole batch, ordered by edge and then by
+    neighbour.  The triangles, and the order in which their values are
+    summed, are those of the edge-by-edge walk.
     """
     if sample_size < 1:
         raise InvalidInputError("sample_size must be >= 1")
@@ -231,18 +249,20 @@ def triangle_consistency_score(graph: OffsetGraph, sample_size: int, seed: int =
     order = rng.permutation(graph.m)
     total = 0.0
     count = 0
-    for e in order:
-        a, b = graph.i[e], graph.j[e]
-        row_a = slice(indptr[a], indptr[a + 1])
-        row_b = slice(indptr[b], indptr[b + 1])
-        # common neighbours k, ascending, at positions ka / kb of the two rows
-        _, ka, kb = np.intersect1d(cols[row_a], cols[row_b], assume_unique=True,
-                                   return_indices=True)
+    for start in range(0, graph.m, _TRIANGLE_BATCH):
+        batch = order[start:start + _TRIANGLE_BATCH]
+        owner_a, at_a = _row_entries(indptr, graph.i[batch])
+        owner_b, at_b = _row_entries(indptr, graph.j[batch])
+        # keys edge * n + k are unique on each side and sort by edge, then k
+        _, ka, kb = np.intersect1d(owner_a * graph.n + cols[at_a],
+                                   owner_b * graph.n + cols[at_b],
+                                   assume_unique=True, return_indices=True)
         take = min(ka.size, sample_size - count)
         if take == 0:
             continue
+        ka, kb = ka[:take], kb[:take]
         # d_ab + d_bk + d_ka, with d_ka = -S[a, k]
-        s = graph.delta[e] + signed[row_b][kb[:take]] - signed[row_a][ka[:take]]
+        s = graph.delta[batch][owner_a[ka]] + signed[at_b[kb]] - signed[at_a[ka]]
         # |e^{is} - 1| by hypot, as scalar abs() computes it: np.abs on a
         # complex array may take a SIMD path that differs in the last bit
         z = np.exp(1j * s) - 1.0

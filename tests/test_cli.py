@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from angsync import baselines, cli, eig
+from angsync import baselines, cli, eig, generators
 from angsync.cli import derive_seed, main
 from angsync.core import read_instance, write_instance
 
@@ -304,6 +304,33 @@ class TestSweep:
                     "--trials", "1", "--method", methods, "--out", str(out)])
         assert code == 2
         assert message in capsys.readouterr().err
+        assert not out.exists() and not (tmp_path / "sw.agg.csv").exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--tol", "nan"], "tol must be finite and > 0"),
+        (["--tol", "inf"], "tol must be finite and > 0"),
+        (["--tol", "0"], "tol must be finite and > 0"),
+        (["--max-iters", "0"], "max_iters must be >= 1"),
+        (["--workers", "0"], "need workers >= 1"),
+        (["--workers", "-2"], "need workers >= 1"),
+    ], ids=["tol-nan", "tol-inf", "tol-0", "max-iters-0", "workers-0", "workers-neg"])
+    def test_bad_options_rejected_before_generating(self, tmp_path, capsys, monkeypatch,
+                                                    flags, message):
+        calls = []
+        gen_complete = generators.gen_complete
+
+        def counted(params):
+            calls.append(params)
+            return gen_complete(params)
+
+        monkeypatch.setattr(generators, "gen_complete", counted)
+        out = tmp_path / "sw.csv"
+        code = run(["sweep", "--model", "complete", "--n", "10", "--p", "0.9,0.5",
+                    "--trials", "3", "--method", "eig,lsqr", *flags, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and message in err
+        assert calls == []
         assert not out.exists() and not (tmp_path / "sw.agg.csv").exists()
 
     def test_default_tol_and_budget_resolve_as_before(self, tmp_path):

@@ -289,6 +289,65 @@ def reference_triangle_score(graph, sample_size, seed):
     return total / count
 
 
+def triangles_per_edge(graph, seed):
+    """Common-neighbour counts of the edges, in the score's seeded order."""
+    neighbors = [set() for _ in range(graph.n)]
+    for a, b in zip(graph.i.tolist(), graph.j.tolist()):
+        neighbors[a].add(b)
+        neighbors[b].add(a)
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(29,)))
+    return np.array([len(neighbors[graph.i[e]] & neighbors[graph.j[e]])
+                     for e in rng.permutation(graph.m)])
+
+
+class TestTriangleBatches:
+    """The score takes edges 128 at a time; a sample may end anywhere in a
+    batch, and the values must be summed as in the edge-by-edge walk."""
+
+    def assert_matches_reference(self, graph, sizes, seed):
+        for sample_size in sizes:
+            assert (triangle_consistency_score(graph, sample_size, seed=seed)
+                    == reference_triangle_score(graph, sample_size, seed))
+
+    def test_sample_ends_inside_and_at_batch_ends(self):
+        graph, _ = gen_small_world(SmallWorldParams(n=400, epsilon=0.2, p=0.5, seed=3))
+        for seed in (0, 1):
+            done = np.cumsum(triangles_per_edge(graph, seed))
+            first, second = int(done[127]), int(done[255])
+            assert first > done[126] and second > done[254]  # batch ends add triangles
+            self.assert_matches_reference(
+                graph, [int(done[63]), first - 1, first, first + 1, second, second + 1],
+                seed)
+
+    def test_fewer_edges_than_a_batch(self):
+        graph, _ = gen_complete(CompleteModelParams(n=12, p=0.4, seed=2))
+        assert graph.m < 128
+        done = np.cumsum(triangles_per_edge(graph, 0))
+        self.assert_matches_reference(graph, [1, int(done[30]), int(done[-1]), 10**7], 0)
+
+    def test_first_batch_without_triangles(self):
+        # a 400-edge path, then two triangles on vertices 401..405
+        rng = np.random.default_rng(5)
+        i = list(range(400)) + [401, 401, 402, 403, 403, 404]
+        j = list(range(1, 401)) + [402, 403, 403, 404, 405, 405]
+        graph = OffsetGraph(n=406, i=i, j=j, delta=rng.uniform(0, TWO_PI, len(i)))
+        seeds = [seed for seed in range(50)
+                 if not triangles_per_edge(graph, seed)[:128].any()]
+        assert seeds
+        self.assert_matches_reference(graph, [1, 3, 4, 6, 10**7], seeds[0])
+
+    def test_complete_graph(self):
+        graph, _ = gen_complete(CompleteModelParams(n=30, p=0.5, seed=4))
+        done = np.cumsum(triangles_per_edge(graph, 2))
+        self.assert_matches_reference(
+            graph, [int(done[127]), int(done[127]) + 5, int(done[300]), 10**7], 2)
+
+    def test_full_pass_runs_out(self):
+        graph, _ = gen_small_world(SmallWorldParams(n=300, epsilon=0.1, p=0.2, seed=7))
+        assert triangles_per_edge(graph, 0).sum() < 10**7
+        self.assert_matches_reference(graph, [10**7], 0)
+
+
 class TestTriangleConsistency:
     @pytest.mark.parametrize("gen, params", [
         (gen_small_world, SmallWorldParams(n=150, epsilon=0.2, p=0.5, seed=9)),

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -259,6 +260,31 @@ class TestBulkRewiring:
             assert bulk.bit_generator.state == scalar.bit_generator.state
             assert scalar.bit_generator.state["has_uint32"] == 1
             assert bulk.random() == scalar.random()
+
+
+class TestBaseEdges:
+    """The base edges come from row blocks of pts @ pts.T; they must be those
+    of the full Gram matrix, in the same order, bit for bit."""
+
+    @pytest.mark.parametrize("n", [2, 127, 128, 129, 300, 2000])
+    @pytest.mark.parametrize("epsilon", [0.05, 0.2, 1.5])
+    def test_match_full_gram_reference(self, n, epsilon):
+        for seed in range(20):
+            pts = generators._sphere_points(generators._rng(seed, generators._STREAM_GRAPH), n)
+            want_i, want_j = np.nonzero(np.triu(pts @ pts.T > 1.0 - epsilon, 1))
+            got_i, got_j = generators._cap_edges(pts, 1.0 - epsilon)
+            assert got_i.dtype == want_i.dtype and got_j.dtype == want_j.dtype
+            assert np.array_equal(got_i, want_i) and np.array_equal(got_j, want_j)
+
+    def test_no_n_by_n_temporaries(self):
+        # the 3000 x 3000 Gram matrix alone would take 72 MB
+        tracemalloc.start()
+        try:
+            gen_small_world(SmallWorldParams(n=3000, epsilon=0.05, p=1.0, seed=1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24e6
 
 
 class TestClock:
