@@ -99,7 +99,10 @@ def summarize(pairs, gated):
 
 def parse_seeds(text: str) -> list[int]:
     first, _, last = text.partition("-")
-    first, last = int(first), int(last or first)
+    try:
+        first, last = int(first), int(last or first)
+    except ValueError:
+        raise SystemExit(f"bench_pairs: seed range {text} is not FIRST-LAST") from None
     if last < first:
         raise SystemExit(f"bench_pairs: seed range {text} runs backwards")
     seeds = list(range(first, last + 1))
@@ -125,10 +128,15 @@ def main(argv=None) -> int:
         print(f"bench_pairs: --tmpdir {args.tmpdir} is not a directory", file=sys.stderr)
         return 2
 
+    try:
+        base_rev = git("rev-parse", "--verify", f"{args.base}^{{commit}}")
+    except subprocess.CalledProcessError:
+        print(f"bench_pairs: --base {args.base} is not a revision", file=sys.stderr)
+        return 2
+
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     gated = {m["name"]: m["better"] for m in bench["end_to_end"]}
     seconds = bench["run_seconds"]
-    base_rev = git("rev-parse", args.base)
     tmp = Path(tempfile.mkdtemp(prefix="bench_pairs_", dir=args.tmpdir))
     try:
         export_revision(base_rev, tmp)

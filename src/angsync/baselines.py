@@ -28,6 +28,8 @@ from .core import (
     InvalidInputError,
     OffsetGraph,
     SyncMatrix,
+    check_budget,
+    check_seed,
     connected_component_labels,
 )
 from .eig import _estimate, sync_matrix_of
@@ -54,10 +56,7 @@ def estimate_lsqr(graph: OffsetGraph, opts: LsqrOptions | None = None, *,
     quotient use the given `H` (see `eig.sync_matrix_of`) when there is one.
     """
     opts = opts or LsqrOptions()
-    if not 0 < opts.tol < math.inf:
-        raise InvalidInputError("tol must be finite and > 0")
-    if opts.max_iters is not None and opts.max_iters < 1:
-        raise InvalidInputError("max_iters must be >= 1")
+    check_budget(opts.tol, opts.max_iters)
     t0 = time.perf_counter()
     n = graph.n
     H = sync_matrix_of(graph, H)
@@ -173,6 +172,7 @@ def estimate_sdp(graph: OffsetGraph, opts: SdpOptions | None = None, *,
         raise InvalidInputError(f"rank must lie in [1, {n}], got {r}")
     if opts.max_iters < 1 or not 0 <= opts.step_tolerance < math.inf:
         raise InvalidInputError("bad solver options")
+    check_seed(opts.seed)
 
     t_start = time.perf_counter()
     H = sync_matrix_of(graph, H)

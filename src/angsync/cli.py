@@ -22,6 +22,8 @@ from . import baselines, eig, generators, spectra, theory
 from .core import (
     AngsyncError,
     GroundTruth,
+    check_budget,
+    check_seed,
     evaluate,
     read_instance,
     write_instance,
@@ -46,56 +48,66 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def _write_csv(path, columns, rows) -> None:
+    """A CSV file: the schema_version comment, `columns`, then `rows` by `_fmt`."""
+    with Path(path).open("w", newline="") as fh:
+        fh.write(f"# schema_version={SCHEMA_VERSION}\n")
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        writer.writerows([_fmt(v) for v in row] for row in rows)
+
+
 def _sidecar_path(instance_path) -> Path:
     return Path(str(instance_path) + ".meta.json")
 
 
 def derive_seed(master_seed: int, p_index: int, trial_index: int) -> int:
     """Sweep seeds as a pure function of (master_seed, p_index, trial_index)."""
+    check_seed(master_seed)
     ss = np.random.SeedSequence(master_seed, spawn_key=(p_index, trial_index))
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def _generate(model: str, n: int, p: float, epsilon: float, seed: int,
-              clock_args: dict | None = None):
-    if model == "complete":
-        params = generators.CompleteModelParams(n=n, p=p, seed=seed)
-        graph, truth = generators.gen_complete(params)
-        extra = {}
-    elif model == "small-world":
-        params = generators.SmallWorldParams(n=n, epsilon=epsilon, p=p, seed=seed)
-        graph, truth = generators.gen_small_world(params)
-        extra = {}
-    elif model == "clock":
-        ca = clock_args or {}
-        params = generators.ClockModelParams(
-            n=n, edge_probability=ca.get("edge_probability", 1.0),
-            sigma_good=ca.get("sigma_good", 0.0),
-            outlier_fraction=(1.0 - p if ca.get("outlier_fraction") is None
-                              else ca["outlier_fraction"]),
-            outlier_scale=ca.get("outlier_scale", 0.0),
-            omega=ca.get("omega", 1.0), seed=seed)
-        graph, truth, times = generators.gen_clock(params)
-        extra = {"times": times.tolist()}
-    else:
-        raise AngsyncError(f"unknown model {model!r}")
-    return params, graph, truth, extra
+def _model_params(args, p: float, seed: int):
+    """`args.model`'s generator params at `p` and `seed`; a bad n, p, epsilon
+    or seed raises here, before anything is generated."""
+    if args.model == "complete":
+        return generators.CompleteModelParams(n=args.n, p=p, seed=seed)
+    if args.model == "small-world":
+        return generators.SmallWorldParams(n=args.n, epsilon=args.epsilon, p=p, seed=seed)
+    ca = vars(args)  # the clock flags, `generate`'s only, are named as the fields
+    return generators.ClockModelParams(
+        n=args.n, edge_probability=ca.get("edge_probability", 1.0),
+        sigma_good=ca.get("sigma_good", 0.0),
+        outlier_fraction=(1.0 - p if ca.get("outlier_fraction") is None
+                          else ca["outlier_fraction"]),
+        outlier_scale=ca.get("outlier_scale", 0.0),
+        omega=ca.get("omega", 1.0), seed=seed)
+
+
+def _generate(params):
+    """(graph, truth) of the instance `params` describes, and a clock's times."""
+    if isinstance(params, generators.CompleteModelParams):
+        return generators.gen_complete(params)
+    if isinstance(params, generators.SmallWorldParams):
+        return generators.gen_small_world(params)
+    return generators.gen_clock(params)
+
+
+def _read_instance(path: Path):
+    if not path.exists():
+        raise AngsyncError(f"no such instance file: {path}")
+    return read_instance(path)
 
 
 def cmd_generate(args) -> int:
-    clock_args = {
-        "edge_probability": args.edge_probability,
-        "sigma_good": args.sigma_good,
-        "outlier_fraction": args.outlier_fraction,
-        "outlier_scale": args.outlier_scale,
-        "omega": args.omega,
-    }
-    params, graph, truth, extra = _generate(args.model, args.n, args.p,
-                                            args.epsilon, args.seed, clock_args)
+    params = _model_params(args, args.p, args.seed)
+    graph, truth, *times = _generate(params)
     out = Path(args.out)
     write_instance(out, graph, good_mask=truth.good_mask)
     meta = generators.instance_metadata(args.model, params, graph, truth)
-    meta.update(extra)
+    if times:
+        meta["times"] = times[0].tolist()
     _sidecar_path(out).write_text(json.dumps(meta) + "\n")
     print(f"wrote {out} (n={graph.n}, m={graph.m}, m_good={meta['m_good']}, "
           f"connected={meta['connected']})")
@@ -117,47 +129,47 @@ def _load_truth(instance_path, file_mask):
                        good_mask=np.asarray([] if mask is None else mask, dtype=bool))
 
 
-# Flags a method does not take: given explicitly, they are an error rather
-# than silently dropped.
-_UNSUPPORTED_FLAGS = {"lsqr": ("--shift",), "sdp": ("--tol", "--max-iters", "--shift")}
+# The CLI flags each method takes, and the options field each one sets.  A
+# flag given to a method that does not take it is an error, not dropped.
+_OPTION_FLAGS = {"eig": {"--tol": "tol", "--max-iters": "max_iters", "--shift": "diagonal_shift"},
+                 "lsqr": {"--tol": "tol", "--max-iters": "max_iters"},
+                 "sdp": {}}
 
 
-def _reject_unsupported(methods, flags: dict) -> None:
-    """Raise if a flag given (value not None) is one a method does not take."""
-    for method in methods:
-        given = [flag for flag in _UNSUPPORTED_FLAGS.get(method, ())
-                 if flags.get(flag) is not None]
-        if given:
-            raise AngsyncError(f"{' and '.join(given)} not supported by --method {method}")
-
-
-def _solve_one(graph, method: str, tol: float, max_iters, shift: float, seed: int,
-               H=None):
-    """Run `method` (one of METHODS) on `graph`, on the prebuilt `H` when given."""
+def _options(method: str, given: dict, seed: int, defaults: dict | None = None):
+    """`method`'s options from the flags `given` ({flag: value, None if not
+    given}), else from `defaults`, else from the options type's defaults."""
+    taken = _OPTION_FLAGS[method]
+    given = {flag: value for flag, value in given.items() if value is not None}
+    unsupported = [flag for flag in given if flag not in taken]
+    if unsupported:
+        raise AngsyncError(f"{' and '.join(unsupported)} not supported by --method {method}")
+    values = {**(defaults or {}), **given}
+    fields = {field: values[flag] for flag, field in taken.items() if flag in values}
     if method == "eig":
-        opts = eig.EigOptions(tol=tol, max_iters=max_iters,
-                              diagonal_shift=shift, seed=seed)
+        return eig.EigOptions(seed=seed, **fields)
+    if method == "lsqr":
+        return baselines.LsqrOptions(**fields)
+    return baselines.SdpOptions(seed=seed)
+
+
+def _solve_one(graph, method: str, opts, H=None):
+    """Run `method` with `opts` on `graph`, on the prebuilt `H` when given."""
+    if method == "eig":
         return eig.estimate_eig(graph, opts, H=H)
     if method == "lsqr":
-        opts = baselines.LsqrOptions(tol=tol, max_iters=max_iters)
         return baselines.estimate_lsqr(graph, opts, H=H)
-    opts = baselines.SdpOptions(seed=seed)
-    est, _rank = baselines.estimate_sdp(graph, opts, H=H)
-    return est
+    return baselines.estimate_sdp(graph, opts, H=H)[0]
 
 
 def cmd_solve(args) -> int:
-    _reject_unsupported([args.method], {"--tol": args.tol, "--max-iters": args.max_iters,
-                                        "--shift": args.shift})
-    tol = 1e-10 if args.tol is None else args.tol
-    shift = 0.0 if args.shift is None else args.shift
+    opts = _options(args.method, {"--tol": args.tol, "--max-iters": args.max_iters,
+                                  "--shift": args.shift}, args.seed)
     path = Path(args.instance)
-    if not path.exists():
-        raise AngsyncError(f"no such instance file: {path}")
-    graph, mask = read_instance(path)
+    graph, mask = _read_instance(path)
     truth = _load_truth(path, mask)
 
-    est = _solve_one(graph, args.method, tol, args.max_iters, shift, args.seed)
+    est = _solve_one(graph, args.method, opts)
     converged = est.diagnostics["converged"]
     objective = baselines.sdp_objective(graph, est.theta_hat)
 
@@ -176,35 +188,32 @@ def cmd_solve(args) -> int:
 
 
 def _sweep_task(task):
-    """One (p, trial) cell of a sweep; returns an output row dict.
+    """One (p, trial) cell of a sweep; returns its output row dicts, one per method.
 
     The instance's sync matrix is built once and shared by every method, so
     a row's wall_ms leaves out the build."""
-    (model, n, p, epsilon, seed, methods, tol, max_iters, deterministic) = task
-    params, graph, truth, _extra = _generate(model, n, p, epsilon, seed)
+    model, params, solvers, deterministic = task
+    n, p, seed = params.n, params.p, params.seed
+    graph, truth = _generate(params)
+    if model == "complete":
+        predicted = {"np2": n * p * p, "pred_rho2": theory.correlation_prediction(n, p),
+                     "pred_lambda1_mu": theory.lambda1_law(n, p).value,
+                     "pred_p_threshold": theory.p_threshold_complete(n)}
+    else:
+        predicted = {"np2": 2.0 * graph.m * p * p / n, "pred_rho2": None, "pred_lambda1_mu": None,
+                     "pred_p_threshold": float(np.sqrt(n / (2.0 * graph.m)))}
     H = eig.build_sync_matrix(graph)
     rows = []
-    for method in methods:
-        est = _solve_one(graph, method, tol, max_iters, 0.0, seed, H=H)
+    for method, opts in solvers:
+        est = _solve_one(graph, method, opts, H=H)
         wall_ms = 0.0 if deterministic else est.diagnostics["wall_ms"]
         report = evaluate(graph, truth, est)
-        np2 = n * p * p if model == "complete" else 2.0 * graph.m * p * p / n
-        if model == "complete":
-            pred_rho2 = theory.correlation_prediction(n, p)
-            pred_mu = theory.lambda1_law(n, p).value
-            pred_pc = theory.p_threshold_complete(n)
-        else:
-            pred_rho2 = None
-            pred_mu = None
-            pred_pc = float(np.sqrt(n / (2.0 * graph.m)))
         rows.append({
             "model": model, "n": n, "m": graph.m, "p": p, "seed": seed,
             "method": method, "rho1": report.rho1, "rho2": report.rho2,
             "lambda1": est.top_eigval,
             "objective": baselines.sdp_objective(graph, est.theta_hat),
-            "iterations": est.iterations, "wall_ms": wall_ms, "np2": np2,
-            "pred_rho2": pred_rho2, "pred_lambda1_mu": pred_mu,
-            "pred_p_threshold": pred_pc,
+            "iterations": est.iterations, "wall_ms": wall_ms, **predicted,
         })
     return rows
 
@@ -227,21 +236,22 @@ def cmd_sweep(args) -> int:
         raise AngsyncError("need trials >= 1")
     if args.workers < 1:
         raise AngsyncError("need workers >= 1")
-    _reject_unsupported(methods, {"--tol": args.tol, "--max-iters": args.max_iters})
-    tol = 1e-8 if args.tol is None else args.tol
-    max_iters = 2000 if args.max_iters is None else args.max_iters
-    # the estimators' own checks, made before anything is generated
-    if not 0 < tol < float("inf"):
-        raise AngsyncError("tol must be finite and > 0")
-    if max_iters < 1:
-        raise AngsyncError("max_iters must be >= 1")
+    flags = {"--tol": args.tol, "--max-iters": args.max_iters}
+    for method in methods:
+        _options(method, flags, args.seed)  # raises on a flag it does not take
+    budget = {"--tol": 1e-8 if args.tol is None else args.tol,
+              "--max-iters": 2000 if args.max_iters is None else args.max_iters}
+    check_budget(budget["--tol"], budget["--max-iters"])
 
+    # every instance's params and options, checked before anything is generated
     tasks = []
     for p_index, p in enumerate(p_grid):
         for trial in range(args.trials):
             seed = derive_seed(args.seed, p_index, trial)
-            tasks.append((args.model, args.n, p, args.epsilon, seed, methods,
-                          tol, max_iters, args.deterministic))
+            params = _model_params(args, p, seed)
+            solvers = [(method, _options(method, flags, seed, budget))
+                       for method in methods]
+            tasks.append((args.model, params, solvers, args.deterministic))
 
     if args.workers > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -253,41 +263,27 @@ def cmd_sweep(args) -> int:
     rows = [row for batch in results for row in batch]
 
     out = Path(args.out)
-    with out.open("w", newline="") as fh:
-        fh.write(f"# schema_version={SCHEMA_VERSION}\n")
-        writer = csv.writer(fh)
-        writer.writerow(ROW_COLUMNS)
-        for row in rows:
-            writer.writerow([_fmt(row[c]) for c in ROW_COLUMNS])
-
+    _write_csv(out, ROW_COLUMNS, [[row[c] for c in ROW_COLUMNS] for row in rows])
+    agg = []
+    for p in p_grid:
+        for method in methods:
+            sel = [r for r in rows if r["p"] == p and r["method"] == method]
+            r1 = np.array([r["rho1"] for r in sel])
+            r2 = np.array([r["rho2"] for r in sel])
+            l1 = np.array([r["lambda1"] for r in sel])
+            agg.append([args.model, args.n, p, method, len(sel), r1.mean(), r1.std(),
+                        r2.mean(), r2.std(), l1.mean(), l1.std()])
     agg_path = out.with_name(out.stem + ".agg" + (out.suffix or ".csv"))
-    with agg_path.open("w", newline="") as fh:
-        fh.write(f"# schema_version={SCHEMA_VERSION}\n")
-        writer = csv.writer(fh)
-        writer.writerow(AGG_COLUMNS)
-        for p in p_grid:
-            for method in methods:
-                sel = [r for r in rows if r["p"] == p and r["method"] == method]
-                r1 = np.array([r["rho1"] for r in sel])
-                r2 = np.array([r["rho2"] for r in sel])
-                l1 = np.array([r["lambda1"] for r in sel])
-                writer.writerow([_fmt(v) for v in [
-                    args.model, args.n, p, method, len(sel),
-                    r1.mean(), r1.std(), r2.mean(), r2.std(),
-                    l1.mean(), l1.std()]])
+    _write_csv(agg_path, AGG_COLUMNS, agg)
     print(f"wrote {out} ({len(rows)} rows) and {agg_path}")
     return 0
 
 
 def cmd_spectrum(args) -> int:
     if args.instance:
-        path = Path(args.instance)
-        if not path.exists():
-            raise AngsyncError(f"no such instance file: {path}")
-        graph, _mask = read_instance(path)
+        graph, _mask = _read_instance(Path(args.instance))
     else:
-        _params, graph, _truth, _extra = _generate(args.model, args.n, args.p,
-                                                   args.epsilon, args.seed)
+        graph = _generate(_model_params(args, args.p, args.seed))[0]
     H = eig.build_sync_matrix(graph, args.shift)
     values = spectra.full_spectrum(H, dense_limit=args.dense_limit)
 
@@ -312,12 +308,7 @@ def cmd_theory(args) -> int:
     m = args.m if args.m is not None else args.n * (args.n - 1) // 2
     rows = theory.predictions_table(args.n, m, args.L, args.p)
     if args.out:
-        with Path(args.out).open("w", newline="") as fh:
-            fh.write(f"# schema_version={SCHEMA_VERSION}\n")
-            writer = csv.writer(fh)
-            writer.writerow(["name", "value", "aux"])
-            for r in rows:
-                writer.writerow([r.name, _fmt(r.value), _fmt(r.aux)])
+        _write_csv(args.out, ["name", "value", "aux"], [[r.name, r.value, r.aux] for r in rows])
         print(f"wrote {args.out}")
     else:
         width = max(len(r.name) for r in rows)
@@ -333,13 +324,11 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="Angular synchronization toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_model_flags(sp, with_p=True):
+    def add_model_flags(sp):
         sp.add_argument("--model", choices=["complete", "small-world", "clock"],
                         default="complete")
         sp.add_argument("--n", type=int, default=100)
-        if with_p:
-            sp.add_argument("--p", type=float, default=1.0,
-                            help="good-edge probability")
+        sp.add_argument("--p", type=float, default=1.0, help="good-edge probability")
         sp.add_argument("--epsilon", type=float, default=0.3,
                         help="sphere cap parameter (small-world)")
         sp.add_argument("--seed", type=int, default=0)

@@ -43,6 +43,26 @@ class TooLargeError(AngsyncError):
     """Problem size exceeds the configured dense limit."""
 
 
+def check_prob(name: str, value) -> None:
+    """Raise InvalidInputError unless `value` lies in [0, 1] (NaN does not)."""
+    if not 0.0 <= value <= 1.0:
+        raise InvalidInputError(f"{name} must lie in [0, 1], got {value}")
+
+
+def check_seed(seed) -> None:
+    """Raise InvalidInputError unless `seed` is in [0, 2^64), as every seed must be."""
+    if not 0 <= int(seed) < 2 ** 64:
+        raise InvalidInputError("seed must be a nonnegative 64-bit integer")
+
+
+def check_budget(tol, max_iters) -> None:
+    """Raise InvalidInputError unless tol is finite and > 0 and max_iters is None or >= 1."""
+    if not 0 < tol < np.inf:
+        raise InvalidInputError("tol must be finite and > 0")
+    if max_iters is not None and max_iters < 1:
+        raise InvalidInputError("max_iters must be >= 1")
+
+
 def _mod2pi(x: np.ndarray) -> np.ndarray:
     """np.mod(x, 2*pi) bit for bit, for a float64 array, without a division.
 

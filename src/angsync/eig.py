@@ -27,6 +27,8 @@ from .core import (
     OffsetGraph,
     SyncMatrix,
     ZeroMatrixError,
+    check_budget,
+    check_seed,
     reduce_angles,
 )
 
@@ -98,12 +100,10 @@ def top_eigpair(H: SyncMatrix, tol: float = 1e-10, max_iters: int | None = None,
     eigenvector bit for bit.  For n < 3, where ARPACK cannot take k = 1, the
     pair comes from a dense ``eigh``.
     """
-    if not 0 < tol < math.inf:
-        raise InvalidInputError("tol must be finite and > 0")
+    check_budget(tol, max_iters)
+    check_seed(seed)
     if max_iters is None:
         max_iters = default_max_iters(H.n)
-    if max_iters < 1:
-        raise InvalidInputError("max_iters must be >= 1")
     if H.nnz_offdiag == 0 and H.diagonal_shift == 0.0:
         raise ZeroMatrixError("sync matrix has no nonzero entries")
 
@@ -237,6 +237,7 @@ def triangle_consistency_score(graph: OffsetGraph, sample_size: int, seed: int =
     """
     if sample_size < 1:
         raise InvalidInputError("sample_size must be >= 1")
+    check_seed(seed)
     # CSR of signed offsets, S[a, b] = delta_ab and S[b, a] = -delta_ab, each
     # row's columns ascending (the conversion sorts them; no pair repeats)
     rows = np.concatenate([graph.i, graph.j])

@@ -20,6 +20,8 @@ from .core import (
     GroundTruth,
     InvalidInputError,
     OffsetGraph,
+    check_prob,
+    check_seed,
     is_connected,
     reduce_angles,
 )
@@ -39,16 +41,6 @@ def _rng(seed: int, stream: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream,)))
 
 
-def _check_prob(name, value):
-    if not 0.0 <= value <= 1.0:
-        raise InvalidInputError(f"{name} must lie in [0, 1], got {value}")
-
-
-def _check_seed(seed):
-    if not 0 <= int(seed) < 2 ** 64:
-        raise InvalidInputError("seed must be a nonnegative 64-bit integer")
-
-
 @dataclass(frozen=True)
 class CompleteModelParams:
     """All-pairs measurements; each edge good independently with probability p."""
@@ -60,8 +52,8 @@ class CompleteModelParams:
     def __post_init__(self):
         if self.n < 2:
             raise InvalidInputError(f"need n >= 2, got {self.n}")
-        _check_prob("p", self.p)
-        _check_seed(self.seed)
+        check_prob("p", self.p)
+        check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -78,8 +70,8 @@ class SmallWorldParams:
             raise InvalidInputError(f"need n >= 2, got {self.n}")
         if not 0.0 < self.epsilon < 2.0:
             raise InvalidInputError("epsilon must lie in (0, 2)")
-        _check_prob("p", self.p)
-        _check_seed(self.seed)
+        check_prob("p", self.p)
+        check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -102,13 +94,13 @@ class ClockModelParams:
     def __post_init__(self):
         if self.n < 2:
             raise InvalidInputError(f"need n >= 2, got {self.n}")
-        _check_prob("edge_probability", self.edge_probability)
-        _check_prob("outlier_fraction", self.outlier_fraction)
+        check_prob("edge_probability", self.edge_probability)
+        check_prob("outlier_fraction", self.outlier_fraction)
         if self.sigma_good < 0 or self.outlier_scale < 0:
             raise InvalidInputError("noise scales must be >= 0")
         if self.omega <= 0:
             raise InvalidInputError("omega must be > 0")
-        _check_seed(self.seed)
+        check_seed(self.seed)
 
 
 def gen_complete(params: CompleteModelParams):
@@ -164,6 +156,8 @@ def _rewire_pairs(rewire, n, base_i, base_j, rewired):
     exactly the values used are redrawn, so it is left where the scalar
     draws would leave it.
     """
+    if rewired.size == 0:
+        return [], []
     saved = rewire.bit_generator.state
     keys = base_i * n + base_j
     edges = set(keys.tolist())

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import InvalidInputError
+from .core import InvalidInputError, check_prob
 
 FLAG_BELOW_THRESHOLD = "below_threshold"
 FLAG_NEAR_EXACT = "near_exact"
@@ -27,11 +27,6 @@ class TheoryPrediction:
     flag: str | None = None
 
 
-def _check_p(p):
-    if not 0.0 <= p <= 1.0:
-        raise InvalidInputError(f"p must lie in [0, 1], got {p}")
-
-
 def _check_L(L):
     if int(L) != L or L < 2:
         raise InvalidInputError(f"L must be an integer >= 2, got {L}")
@@ -39,7 +34,7 @@ def _check_L(L):
 
 def wigner_edge(n: int, p: float) -> float:
     """Bulk edge of the noise spectrum: 2 sqrt(n (1 - p^2))."""
-    _check_p(p)
+    check_prob("p", p)
     return 2.0 * math.sqrt(n * (1.0 - p * p))
 
 
@@ -58,7 +53,7 @@ def lambda1_law(n: int, p: float) -> TheoryPrediction:
     mean lies above simulation by about 0.8 at n=400, p=0.15 (67.28 against
     a measured 66.45).  The std is in H's own units.
     """
-    _check_p(p)
+    check_prob("p", p)
     if p == 1.0:
         return TheoryPrediction("lambda1_law", math.inf, 0.0, FLAG_NEAR_EXACT)
     if p == 0.0 or n * p <= math.sqrt(n * (1.0 - p * p)):
@@ -79,7 +74,7 @@ def p_threshold_complete(n: int) -> float:
 
 def correlation_prediction(n: int, p: float) -> float:
     """Leading-order correlation between eigenvector and truth: (1 + 1/(n p^2))^(-1/2)."""
-    _check_p(p)
+    check_prob("p", p)
     s = n * p * p
     if s == 0.0:
         return 0.0
@@ -95,7 +90,7 @@ def lambda1_sparse_bad(n: int, m_bad: int) -> float:
 
 def small_world_gap(n: int, m: int, p: float) -> float:
     """Spectral gap of the good neighborhood graph: 4 m^2 p / n^3."""
-    _check_p(p)
+    check_prob("p", p)
     return 4.0 * m * m * p / float(n) ** 3
 
 
@@ -120,7 +115,7 @@ def entropy_HLp(L: int, p: float) -> float:
     """Entropy of one offset measurement given its endpoint angles, for L
     circle sectors and good-edge probability p."""
     _check_L(L)
-    _check_p(p)
+    check_prob("p", p)
     q = (1.0 - p) / L
     return -(L - 1) * _xlog2x(q) - _xlog2x(p + q)
 
@@ -138,7 +133,7 @@ def mutual_info_taylor(L: int, p: float) -> float:
     mutual_info_ILp (bits) by ln 2 before comparing.
     """
     _check_L(L)
-    _check_p(p)
+    check_prob("p", p)
     return 0.5 * (L - 1) * p * p
 
 

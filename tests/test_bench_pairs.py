@@ -21,6 +21,11 @@ class TestParseSeeds:
         with pytest.raises(SystemExit, match="runs backwards"):
             bench_pairs.parse_seeds("710-701")
 
+    @pytest.mark.parametrize("text", ["5-x", "x-5", "five", "5-6-7"])
+    def test_non_integer_range_rejected(self, text):
+        with pytest.raises(SystemExit, match=f"seed range {text} is not FIRST-LAST"):
+            bench_pairs.parse_seeds(text)
+
 
 def _pairs(base, change, name="m"):
     return [{"base": {"metrics": {name: b}}, "change": {"metrics": {name: c}}}
@@ -70,6 +75,17 @@ def test_missing_tmpdir_rejected_before_export(monkeypatch, capsys, tmp_path):
     err = capsys.readouterr().err
     assert err == f"bench_pairs: --tmpdir {missing} is not a directory\n"
     assert not missing.exists()
+
+
+def test_unknown_base_rejected_before_export(monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise AssertionError("exported or made a directory for an unknown --base")
+
+    monkeypatch.setattr(bench_pairs, "export_revision", fail)
+    monkeypatch.setattr(bench_pairs.tempfile, "mkdtemp", fail)
+    assert bench_pairs.main(["--workload", "generate-solve", "--seeds", "1-2",
+                             "--label", "x", "--base", "nosuchrev"]) == 2
+    assert capsys.readouterr().err == "bench_pairs: --base nosuchrev is not a revision\n"
 
 
 def test_workloads_are_perfbench_names():

@@ -7,7 +7,7 @@ import pytest
 
 from angsync import baselines, cli, eig, generators
 from angsync.cli import derive_seed, main
-from angsync.core import read_instance, write_instance
+from angsync.core import InvalidInputError, read_instance, write_instance
 
 
 def run(args):
@@ -198,6 +198,34 @@ class TestSolve:
         assert "converged" not in captured.out
 
 
+class TestSeedRule:
+    """Every seed that reaches a SeedSequence follows the generator's rule."""
+
+    @pytest.mark.parametrize("method", ["eig", "sdp"])
+    def test_solve_bad_seed_exits_2(self, tmp_path, capsys, method):
+        out = tmp_path / "inst.txt"
+        run(["generate", "--model", "complete", "--n", "8", "--p", "1",
+             "--seed", "2", "--out", str(out)])
+        capsys.readouterr()
+        assert run(["solve", str(out), "--method", method, "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: seed must be a nonnegative 64-bit integer\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_library_seeds_checked(self, seed):
+        graph, _ = generators.gen_complete(generators.CompleteModelParams(n=8, p=1.0, seed=2))
+        calls = [
+            lambda: eig.top_eigpair(eig.build_sync_matrix(graph), seed=seed),
+            lambda: baselines.estimate_sdp(graph, baselines.SdpOptions(seed=seed)),
+            lambda: eig.triangle_consistency_score(graph, 10, seed=seed),
+            lambda: derive_seed(seed, 0, 0),
+        ]
+        for call in calls:
+            with pytest.raises(InvalidInputError, match="seed must be a nonnegative"):
+                call()
+
+
 def timed_123(monkeypatch, module, name):
     """Make `module.name` return estimates whose own timer reads 123 ms."""
     estimate = getattr(module, name)
@@ -330,6 +358,30 @@ class TestSweep:
         err = capsys.readouterr().err
         assert code == 2
         assert err.count("\n") == 1 and message in err
+        assert calls == []
+        assert not out.exists() and not (tmp_path / "sw.agg.csv").exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--seed", "-1"], "seed must be a nonnegative 64-bit integer"),
+        (["--p", "0.5,1.5"], "p must lie in [0, 1], got 1.5"),
+        (["--model", "small-world", "--epsilon", "3"], "epsilon must lie in (0, 2)"),
+        (["--n", "1"], "need n >= 2, got 1"),
+    ], ids=["seed-neg", "late-p", "epsilon", "n-1"])
+    def test_bad_grid_rejected_before_generating(self, tmp_path, capsys, monkeypatch,
+                                                 flags, message):
+        calls = []
+        for name in ("gen_complete", "gen_small_world"):
+            def counted(params, generate=getattr(generators, name)):
+                calls.append(params)
+                return generate(params)
+
+            monkeypatch.setattr(generators, name, counted)
+        out = tmp_path / "sw.csv"
+        code = run(["sweep", "--n", "300", "--p", "0.5", "--trials", "10",
+                    "--method", "eig,lsqr", *flags, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == f"error: {message}\n"
         assert calls == []
         assert not out.exists() and not (tmp_path / "sw.agg.csv").exists()
 

@@ -286,6 +286,27 @@ class TestBaseEdges:
             tracemalloc.stop()
         assert peak < 24e6
 
+    def test_nothing_rewired_builds_no_edge_set(self):
+        # at p=1 the rewiring step must not hold a set of all m edge keys
+        tracemalloc.start()
+        try:
+            gen_small_world(SmallWorldParams(n=3000, epsilon=0.05, p=1.0, seed=1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 13e6
+
+    def test_nothing_rewired_leaves_state_as_scalar_loop(self):
+        graph, _ = gen_small_world(SmallWorldParams(n=50, epsilon=1.5, p=1.0, seed=4))
+        for seed in range(3):
+            bulk, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
+            for rng in (bulk, scalar):
+                rng.integers(0, 50)  # a buffered half must survive
+            none = np.arange(0)
+            got = generators._rewire_pairs(bulk, 50, graph.i, graph.j, none)
+            assert got == _scalar_rewire_pairs(scalar, 50, graph.i, graph.j, none)
+            assert bulk.bit_generator.state == scalar.bit_generator.state
+
 
 class TestClock:
     def test_noiseless_recovery(self):
