@@ -18,7 +18,8 @@ quartiles of each side and the number of pairs the working tree won; and the
 environment (CPU count, Python, numpy and scipy versions, both revisions,
 and the paths where the working tree differs from its HEAD).
 After the change is committed, pass `--base HEAD~1`.  Exits 1 when any run
-reported a failed check.
+reported a failed check, and 2, with one line on stderr and nothing run,
+when `--seeds`, `--tmpdir` or `--base` is bad.
 """
 
 from __future__ import annotations
@@ -98,16 +99,18 @@ def summarize(pairs, gated):
 
 
 def parse_seeds(text: str) -> list[int]:
+    """The seeds of the inclusive range FIRST-LAST; ValueError if it is not one
+    of at least two seeds."""
     first, _, last = text.partition("-")
     try:
         first, last = int(first), int(last or first)
     except ValueError:
-        raise SystemExit(f"bench_pairs: seed range {text} is not FIRST-LAST") from None
+        raise ValueError(f"seed range {text} is not FIRST-LAST") from None
     if last < first:
-        raise SystemExit(f"bench_pairs: seed range {text} runs backwards")
+        raise ValueError(f"seed range {text} runs backwards")
     seeds = list(range(first, last + 1))
     if len(seeds) < 2:
-        raise SystemExit("bench_pairs: need at least two seeds for quartiles")
+        raise ValueError("need at least two seeds for quartiles")
     return seeds
 
 
@@ -123,7 +126,11 @@ def main(argv=None) -> int:
     ap.add_argument("--tmpdir", default=None,
                     help="where to export the base revision (default: system temp)")
     args = ap.parse_args(argv)
-    seeds = parse_seeds(args.seeds)
+    try:
+        seeds = parse_seeds(args.seeds)
+    except ValueError as exc:
+        print(f"bench_pairs: {exc}", file=sys.stderr)
+        return 2
     if args.tmpdir is not None and not Path(args.tmpdir).is_dir():
         print(f"bench_pairs: --tmpdir {args.tmpdir} is not a directory", file=sys.stderr)
         return 2

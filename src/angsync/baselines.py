@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import cg
+from scipy.sparse.linalg import LinearOperator, cg
 
 from .core import (
     AngleEstimate,
@@ -67,9 +67,14 @@ def estimate_lsqr(graph: OffsetGraph, opts: LsqrOptions | None = None, *,
     anchors = np.unique(labels, return_index=True)[1]
     free = np.ones(n, dtype=bool)
     free[anchors] = False
-    Lf = L[free]
-    Lff = Lf[:, free]
-    rhs = -(Lf[:, anchors] @ np.ones(ncomp))
+    padded = np.zeros(n, dtype=np.complex128)
+
+    def grounded(u):  # L_ff u, as L applied to u padded with zeros at the anchors
+        padded[free] = u.ravel()
+        return (L @ padded)[free]
+
+    Lff = LinearOperator((n - ncomp, n - ncomp), matvec=grounded, dtype=np.complex128)
+    rhs = -(L @ (~free).astype(np.complex128))[free]
     max_iters = opts.max_iters if opts.max_iters is not None else 20 * n
     ticks = itertools.count()
     u, info = cg(Lff, rhs, rtol=opts.tol, atol=0.0, maxiter=max_iters,
@@ -79,7 +84,7 @@ def estimate_lsqr(graph: OffsetGraph, opts: LsqrOptions | None = None, *,
     z[free] = u
     # b is empty only when every vertex is isolated; otherwise each anchor
     # with a neighbour puts that neighbour's entry of b at -L[f, anchor] != 0.
-    residual = (float(np.linalg.norm(Lff @ u - rhs) / np.linalg.norm(rhs))
+    residual = (float(np.linalg.norm(grounded(u) - rhs) / np.linalg.norm(rhs))
                 if rhs.size else 0.0)
 
     v = z / np.linalg.norm(z)

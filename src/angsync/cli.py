@@ -131,12 +131,13 @@ def _load_truth(instance_path, file_mask):
 
 # The CLI flags each method takes, and the options field each one sets.  A
 # flag given to a method that does not take it is an error, not dropped.
-_OPTION_FLAGS = {"eig": {"--tol": "tol", "--max-iters": "max_iters", "--shift": "diagonal_shift"},
+_OPTION_FLAGS = {"eig": {"--tol": "tol", "--max-iters": "max_iters", "--shift": "diagonal_shift",
+                         "--seed": "seed"},
                  "lsqr": {"--tol": "tol", "--max-iters": "max_iters"},
-                 "sdp": {}}
+                 "sdp": {"--seed": "seed"}}
 
 
-def _options(method: str, given: dict, seed: int, defaults: dict | None = None):
+def _options(method: str, given: dict, defaults: dict | None = None):
     """`method`'s options from the flags `given` ({flag: value, None if not
     given}), else from `defaults`, else from the options type's defaults."""
     taken = _OPTION_FLAGS[method]
@@ -147,10 +148,10 @@ def _options(method: str, given: dict, seed: int, defaults: dict | None = None):
     values = {**(defaults or {}), **given}
     fields = {field: values[flag] for flag, field in taken.items() if flag in values}
     if method == "eig":
-        return eig.EigOptions(seed=seed, **fields)
+        return eig.EigOptions(**fields)
     if method == "lsqr":
         return baselines.LsqrOptions(**fields)
-    return baselines.SdpOptions(seed=seed)
+    return baselines.SdpOptions(**fields)
 
 
 def _solve_one(graph, method: str, opts, H=None):
@@ -164,7 +165,7 @@ def _solve_one(graph, method: str, opts, H=None):
 
 def cmd_solve(args) -> int:
     opts = _options(args.method, {"--tol": args.tol, "--max-iters": args.max_iters,
-                                  "--shift": args.shift}, args.seed)
+                                  "--shift": args.shift, "--seed": args.seed})
     path = Path(args.instance)
     graph, mask = _read_instance(path)
     truth = _load_truth(path, mask)
@@ -238,7 +239,7 @@ def cmd_sweep(args) -> int:
         raise AngsyncError("need workers >= 1")
     flags = {"--tol": args.tol, "--max-iters": args.max_iters}
     for method in methods:
-        _options(method, flags, args.seed)  # raises on a flag it does not take
+        _options(method, flags)  # raises on a flag it does not take
     budget = {"--tol": 1e-8 if args.tol is None else args.tol,
               "--max-iters": 2000 if args.max_iters is None else args.max_iters}
     check_budget(budget["--tol"], budget["--max-iters"])
@@ -249,7 +250,7 @@ def cmd_sweep(args) -> int:
         for trial in range(args.trials):
             seed = derive_seed(args.seed, p_index, trial)
             params = _model_params(args, p, seed)
-            solvers = [(method, _options(method, flags, seed, budget))
+            solvers = [(method, _options(method, flags, {**budget, "--seed": seed}))
                        for method in methods]
             tasks.append((args.model, params, solvers, args.deterministic))
 
@@ -353,7 +354,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="iteration budget (eig, lsqr; default per method)")
     slv.add_argument("--shift", type=float, default=None,
                      help="diagonal shift for the sync matrix (eig only; default 0)")
-    slv.add_argument("--seed", type=int, default=0)
+    slv.add_argument("--seed", type=int, default=None,
+                     help="solver seed (eig, sdp; default 0)")
     slv.add_argument("--strict", action="store_true")
     slv.set_defaults(func=cmd_solve)
 

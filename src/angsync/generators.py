@@ -147,41 +147,87 @@ def _cap_edges(pts, cap):
 
 def _rewire_pairs(rewire, n, base_i, base_j, rewired):
     """Fresh endpoints for the edges `rewired` (ascending indices into the
-    base edges), one edge at a time.
+    base edges, which ascend in (i, j) order), as two int64 arrays.
 
-    Each rewired edge leaves the edge set, then pairs a, b = integers(0, n)
-    are drawn until a != b and the ordered pair is not an edge.  The draws
-    come in chunks of `rewire.integers(0, n, size=...)`, which gives the same
-    values as that many scalar calls.  Afterwards `rewire` is rewound and
-    exactly the values used are redrawn, so it is left where the scalar
-    draws would leave it.
+    The rule is that of a scalar loop: step s removes rewired edge s from the
+    edge set, then takes pairs a, b = integers(0, n) until a != b and the
+    ordered pair is not an edge, and adds that pair.  A candidate's outcome
+    depends only on the candidates before it, so numpy decides almost all of
+    them at once (`_classify`):
+
+    - a == b, or a base edge that is never rewired: always rejected;
+    - a pair that is no base edge: taken where its key first occurs among
+      the candidates (no edge has that key yet) and rejected after that
+      (nothing removes it again);
+    - the base edge of step t is a suspect: it is an edge before step t,
+      and after step t only once taken again.
+
+    One Python loop walks the suspects in stream order.  It gives each its
+    step q, the candidates taken before it (those taken for sure, counted in
+    bulk, plus the suspects it took), and rejects it when q < t or when its
+    key was taken already; it stops at the last step.  Every candidate is
+    thus decided as the scalar loop decides it.  The candidates
+    come from `rewire.integers(0, n, size=...)` calls, which give the same
+    values as that many scalar calls; a stream too short for every step (a
+    dense graph) is extended and decided again.  Afterwards `rewire` is
+    rewound and exactly the values used are redrawn, so it is left where the
+    scalar draws would leave it.
     """
-    if rewired.size == 0:
-        return [], []
+    steps = rewired.size
+    if steps == 0:
+        return np.empty(0, np.int64), np.empty(0, np.int64)
     saved = rewire.bit_generator.state
     keys = base_i * n + base_j
-    edges = set(keys.tolist())
-    chunk = 2 * (rewired.size + rewired.size // 4) + 128  # ~1.25 attempts per edge
-    values, t = [], 0
-    new_i, new_j = [], []
-    for old in keys[rewired].tolist():
-        edges.discard(old)
-        while True:
-            if t + 2 > len(values):
-                values += rewire.integers(0, n, size=chunk).tolist()
-            a, b = values[t], values[t + 1]
-            t += 2
-            if a > b:
-                a, b = b, a
-            if a != b and a * n + b not in edges:
+    values = rewire.integers(0, n, size=2 * (steps + steps // 4) + 128)  # ~1.25 tries an edge
+    while True:
+        lo = np.minimum(values[0::2], values[1::2])
+        hi = np.maximum(values[0::2], values[1::2])
+        taken, pos, step = _classify(keys, rewired, np.where(lo == hi, -1, lo * n + hi))
+        done = set()  # the steps whose base edge a suspect took back
+        for p, t, q in zip(pos.tolist(), step.tolist(), np.cumsum(taken)[pos].tolist()):
+            q += len(done)
+            if q >= steps:
                 break
-        edges.add(a * n + b)
-        new_i.append(a)
-        new_j.append(b)
+            if q >= t and t not in done:
+                done.add(t)
+                taken[p] = True
+        used = np.flatnonzero(taken)[:steps]
+        if used.size == steps:
+            break
+        values = np.concatenate([values, rewire.integers(0, n, size=values.size)])
 
     rewire.bit_generator.state = saved
-    rewire.integers(0, n, size=t)
-    return new_i, new_j
+    rewire.integers(0, n, size=2 * (int(used[-1]) + 1))
+    return lo[used], hi[used]
+
+
+def _classify(keys, rewired, cand):
+    """Bulk part of `_rewire_pairs` for the candidate keys `cand` (-1 where
+    a == b): a mask of the candidates taken for sure, and the suspects'
+    stream positions, ascending, with their steps.
+
+    The candidates are sorted once, unstably, and grouped by key; each key is
+    looked up among the ascending base `keys`, and a base edge's index among
+    `rewired` gives its step."""
+    order = np.argsort(cand)
+    ordered = cand[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    group = ordered[starts]
+    base = np.searchsorted(keys, group)
+    hit = keys[np.minimum(base, keys.size - 1)] == group
+    taken = np.zeros(cand.size, dtype=bool)
+    taken[np.minimum.reduceat(order, starts)[~hit & (group >= 0)]] = True
+
+    hits = np.flatnonzero(hit)
+    step = np.searchsorted(rewired, base[hits])
+    is_rewired = rewired[np.minimum(step, rewired.size - 1)] == base[hits]
+    group_step = np.full(group.size, -1)
+    group_step[hits[is_rewired]] = step[is_rewired]
+    member_step = np.repeat(group_step, np.diff(np.r_[starts, cand.size]))
+    members = member_step >= 0
+    pos = order[members]
+    by_pos = np.argsort(pos)
+    return taken, pos[by_pos], member_step[members][by_pos]
 
 
 def gen_small_world(params: SmallWorldParams):
@@ -193,11 +239,12 @@ def gen_small_world(params: SmallWorldParams):
     The base edges come from row blocks of ``pts @ pts.T`` (`_cap_edges`),
     so the working memory is O(block * n) instead of the n x n Gram matrix,
     with the same edges in the same order.  n=20,000, epsilon=0.05 (about 5M
-    edges) generates in 2.5 s at p=1 and 7.0 s at p=0.3 on one core of a
-    2-vCPU VM; the n x n matrix alone would take 3.2 GB.  The rewiring draws
-    come in bulk from vectorized `integers(0, n, size=...)` calls
-    (`_rewire_pairs`), giving the same instances as one scalar
-    `integers(0, n)` call per endpoint."""
+    edges) generates in 2.5 s at p=1 and 3.2-3.4 s at p=0.3, peak RSS
+    0.74-0.77 GB, on one core of a 2-vCPU VM (8.3 s and 1.3 GB with a scalar
+    rewiring loop); the n x n matrix alone would take 3.2 GB.  The rewiring
+    draws come in bulk from vectorized `integers(0, n, size=...)` calls and
+    numpy decides almost all of them at once (`_rewire_pairs`), giving the
+    same instances as one scalar `integers(0, n)` call per endpoint."""
     n = params.n
     pts = _sphere_points(_rng(params.seed, _STREAM_GRAPH), n)
     base_i, base_j = _cap_edges(pts, 1.0 - params.epsilon)

@@ -9,22 +9,40 @@ bench_pairs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_pairs)
 
 
+def _no_export(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("ran git or exported the base tree")
+
+    monkeypatch.setattr(bench_pairs, "git", fail)
+    monkeypatch.setattr(bench_pairs, "export_revision", fail)
+
+
 class TestParseSeeds:
+    """A bad --seeds is an input error: one line on stderr, exit 2, nothing run."""
+
     def test_range_is_inclusive(self):
         assert bench_pairs.parse_seeds("701-710") == list(range(701, 711))
 
-    def test_single_seed_rejected(self):
-        with pytest.raises(SystemExit, match="at least two seeds"):
-            bench_pairs.parse_seeds("701")
+    def _rejected(self, monkeypatch, capsys, text):
+        _no_export(monkeypatch)
+        assert bench_pairs.main(["--workload", "generate-solve", "--seeds", text,
+                                 "--label", "x"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("bench_pairs: ") and err.count("\n") == 1
+        return err
 
-    def test_reversed_range_rejected(self):
-        with pytest.raises(SystemExit, match="runs backwards"):
-            bench_pairs.parse_seeds("710-701")
+    def test_single_seed_rejected(self, monkeypatch, capsys):
+        err = self._rejected(monkeypatch, capsys, "701")
+        assert err == "bench_pairs: need at least two seeds for quartiles\n"
+
+    def test_reversed_range_rejected(self, monkeypatch, capsys):
+        err = self._rejected(monkeypatch, capsys, "710-701")
+        assert err == "bench_pairs: seed range 710-701 runs backwards\n"
 
     @pytest.mark.parametrize("text", ["5-x", "x-5", "five", "5-6-7"])
-    def test_non_integer_range_rejected(self, text):
-        with pytest.raises(SystemExit, match=f"seed range {text} is not FIRST-LAST"):
-            bench_pairs.parse_seeds(text)
+    def test_non_integer_range_rejected(self, monkeypatch, capsys, text):
+        err = self._rejected(monkeypatch, capsys, text)
+        assert err == f"bench_pairs: seed range {text} is not FIRST-LAST\n"
 
 
 def _pairs(base, change, name="m"):

@@ -212,6 +212,35 @@ class TestSeedRule:
         assert captured.err == "error: seed must be a nonnegative 64-bit integer\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize("seed", ["-1", "0", "3"])
+    def test_solve_lsqr_rejects_seed(self, tmp_path, capsys, seed):
+        # lsqr draws nothing, so a seed given to it is an error, not dropped
+        out = tmp_path / "inst.txt"
+        run(["generate", "--model", "complete", "--n", "8", "--p", "1",
+             "--seed", "2", "--out", str(out)])
+        capsys.readouterr()
+        assert run(["solve", str(out), "--method", "lsqr", "--seed", seed]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: --seed not supported by --method lsqr\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("method", ["eig", "sdp"])
+    def test_solve_seed_reaches_method(self, tmp_path, capsys, monkeypatch, method):
+        out = tmp_path / "inst.txt"
+        run(["generate", "--model", "complete", "--n", "8", "--p", "1",
+             "--seed", "2", "--out", str(out)])
+        seeds = []
+        solve_one = cli._solve_one
+
+        def recording(graph, method, opts, H=None):
+            seeds.append(opts.seed)
+            return solve_one(graph, method, opts, H)
+
+        monkeypatch.setattr(cli, "_solve_one", recording)
+        for given in ([], ["--seed", "0"], ["--seed", "7"]):
+            assert run(["solve", str(out), "--method", method, *given]) == 0
+        assert seeds == [0, 0, 7]
+
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_library_seeds_checked(self, seed):
         graph, _ = generators.gen_complete(generators.CompleteModelParams(n=8, p=1.0, seed=2))
