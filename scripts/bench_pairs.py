@@ -13,10 +13,12 @@ no code is shared between the two sides.
 per-layer self-time table included.
 
 Writes `BENCH_<label>.json`: for each pair the gated end-to-end metrics of
-BENCHMARK.json and each run's correctness; per metric the median and
-quartiles of each side and the number of pairs the working tree won; and the
-environment (CPU count, Python, numpy and scipy versions, both revisions,
-and the paths where the working tree differs from its HEAD).
+BENCHMARK.json, each run's correctness and the digests it printed (its first
+round's instances and outputs, so a record shows whether both sides computed
+the same thing); per metric the median and quartiles of each side and the
+number of pairs the working tree won; and the environment (CPU count,
+Python, numpy and scipy versions, both revisions, and the paths where the
+working tree differs from its HEAD).
 After the change is committed, pass `--base HEAD~1`.  Exits 1 when any run
 reported a failed check, and 2, with one line on stderr and nothing run,
 when `--seeds`, `--tmpdir` or `--base` is bad.
@@ -69,9 +71,12 @@ def run_bench(tree: Path, workload: str, seed: int, seconds: float, trace: int) 
         raise SystemExit(f"bench_pairs: no result from {' '.join(cmd)} in {tree}:\n"
                          f"{proc.stderr}")
     record = json.loads(lines[-1])
+    digests = [json.loads(line[len("digests "):]) for line in lines
+               if line.startswith("digests ")]
     result = {"correct": record["correct"], "attempted": record["attempted"],
               "failed": record["failed"],
-              "metrics": {name: m["value"] for name, m in record["metrics"].items()}}
+              "metrics": {name: m["value"] for name, m in record["metrics"].items()},
+              "digests": digests[0] if digests else None}
     if trace:
         result["report"] = lines[:-1]  # includes the per-layer self-time table
     return result

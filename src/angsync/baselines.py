@@ -9,7 +9,8 @@ The SDP route maximizes the quadratic objective trace(H VV*) over complex
 factors V with unit-norm rows (a low-rank factorization of the feasible set
 {Theta >= 0, Theta_ii = 1}), by projected gradient ascent with backtracking.
 The estimate is read off the top left singular vector of V, and the numerical
-rank of Theta = VV* is reported alongside.
+rank of Theta = VV* is reported alongside.  Its block products H V run on
+`SyncMatrix.matmat`, a dense BLAS product on dense graphs.
 """
 
 from __future__ import annotations
@@ -128,9 +129,9 @@ def _normalize_rows(V):
     return V / norms
 
 
-def _ascend(Hmat, V, t0, max_iters, step_tol):
+def _ascend(H, V, t0, max_iters, step_tol):
     """Projected gradient ascent with backtracking; objective never decreases."""
-    W = Hmat @ V
+    W = H.matmat(V)
     f = float(np.vdot(V, W).real)
     trace = [f]
     t = t0
@@ -142,7 +143,7 @@ def _ascend(Hmat, V, t0, max_iters, step_tol):
         tt = t
         for _ in range(60):
             Vn = _normalize_rows(V + tt * W)
-            Wn = Hmat @ Vn
+            Wn = H.matmat(Vn)
             fn = float(np.vdot(Vn, Wn).real)
             if fn >= f:
                 accepted = True
@@ -181,16 +182,15 @@ def estimate_sdp(graph: OffsetGraph, opts: SdpOptions | None = None, *,
 
     t_start = time.perf_counter()
     H = sync_matrix_of(graph, H)
-    Hmat = H.entries
     step0 = 1.0 / max(1.0, float(graph.degrees().max(initial=1)))
     rng = np.random.default_rng(np.random.SeedSequence(opts.seed, spawn_key=(41,)))
 
     V0 = _normalize_rows(rng.normal(size=(n, r)) + 1j * rng.normal(size=(n, r)))
-    V1, f1, trace1, steps1, dev1 = _ascend(Hmat, V0, step0, opts.max_iters,
+    V1, f1, trace1, steps1, dev1 = _ascend(H, V0, step0, opts.max_iters,
                                            opts.step_tolerance)
     # One perturbed restart to escape a poor stationary point; keep the better.
     noise = _normalize_rows(rng.normal(size=(n, r)) + 1j * rng.normal(size=(n, r)))
-    V2, f2, trace2, steps2, dev2 = _ascend(Hmat, _normalize_rows(V1 + 0.1 * noise),
+    V2, f2, trace2, steps2, dev2 = _ascend(H, _normalize_rows(V1 + 0.1 * noise),
                                            step0, opts.max_iters, opts.step_tolerance)
     if f2 > f1:
         V, f, trace = V2, f2, trace2

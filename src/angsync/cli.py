@@ -68,6 +68,13 @@ def derive_seed(master_seed: int, p_index: int, trial_index: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
+# The clock model's fields that `generate` takes as flags (--edge-probability
+# and so on), with their defaults; commands without these flags use the
+# defaults.  An outlier fraction of None means 1 - p.
+CLOCK_DEFAULTS = {"edge_probability": 1.0, "sigma_good": 0.0, "outlier_fraction": None,
+                  "outlier_scale": 0.0, "omega": 1.0}
+
+
 def _model_params(args, p: float, seed: int):
     """`args.model`'s generator params at `p` and `seed`; a bad n, p, epsilon
     or seed raises here, before anything is generated."""
@@ -75,14 +82,10 @@ def _model_params(args, p: float, seed: int):
         return generators.CompleteModelParams(n=args.n, p=p, seed=seed)
     if args.model == "small-world":
         return generators.SmallWorldParams(n=args.n, epsilon=args.epsilon, p=p, seed=seed)
-    ca = vars(args)  # the clock flags, `generate`'s only, are named as the fields
-    return generators.ClockModelParams(
-        n=args.n, edge_probability=ca.get("edge_probability", 1.0),
-        sigma_good=ca.get("sigma_good", 0.0),
-        outlier_fraction=(1.0 - p if ca.get("outlier_fraction") is None
-                          else ca["outlier_fraction"]),
-        outlier_scale=ca.get("outlier_scale", 0.0),
-        omega=ca.get("omega", 1.0), seed=seed)
+    clock = {name: getattr(args, name, default) for name, default in CLOCK_DEFAULTS.items()}
+    if clock["outlier_fraction"] is None:
+        clock["outlier_fraction"] = 1.0 - p
+    return generators.ClockModelParams(n=args.n, **clock, seed=seed)
 
 
 def _generate(params):
@@ -336,12 +339,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("generate", help="write a synthetic instance + sidecar")
     add_model_flags(gen)
-    gen.add_argument("--edge-probability", type=float, default=1.0)
-    gen.add_argument("--sigma-good", type=float, default=0.0)
-    gen.add_argument("--outlier-fraction", type=float, default=None,
-                     help="clock outlier fraction (default 1 - p)")
-    gen.add_argument("--outlier-scale", type=float, default=0.0)
-    gen.add_argument("--omega", type=float, default=1.0)
+    for name, default in CLOCK_DEFAULTS.items():
+        shown = "1 - p" if default is None else default
+        gen.add_argument("--" + name.replace("_", "-"), type=float, default=default,
+                         help=f"clock model (default {shown})")
     gen.add_argument("--out", required=True)
     gen.set_defaults(func=cmd_generate)
 

@@ -9,10 +9,12 @@ threads; the metric functions are pure.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg.blas import zgemv
 from scipy.sparse.csgraph import connected_components as _cc
 
 TWO_PI = 2.0 * np.pi
@@ -196,6 +198,18 @@ class SyncMatrix:
 
     `entries` stores only the 2m off-diagonal nonzeros (CSR); the constant
     diagonal lives in `diagonal_shift` so shifting never changes the sparsity.
+
+    Products with H (`matvec`, `matmat`) run on a dense copy of `entries`
+    when that copy takes no more bytes than the CSR arrays (16 n^2 bytes
+    against data, indices and indptr: complete graphs from n = 4 on), and on
+    the CSR otherwise.  The copy is made on the first product, once.  numpy
+    and scipy each link their own BLAS with its own thread pool, and a
+    product from one pool inside a loop driven by the other oversubscribes
+    the CPUs (at 2 threads, numpy's product inside ARPACK took a top eigenpair
+    at complete n = 400 from 7 ms to 252 ms).  So each product uses the pool
+    its caller's loop already uses: `matvec`, which ARPACK calls, goes through
+    scipy's ``zgemv``, and `matmat`, which the numpy-driven SDP ascent calls,
+    through numpy's ``@``.
     """
 
     n: int
@@ -206,11 +220,31 @@ class SyncMatrix:
         if not np.isfinite(self.diagonal_shift):
             raise InvalidInputError("diagonal_shift must be finite")
 
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        out = self.entries @ v
+    @cached_property
+    def _dense(self) -> np.ndarray | None:
+        """`entries` as a dense array when that is no larger than the CSR, else None."""
+        a = self.entries
+        if 16 * self.n ** 2 > a.data.nbytes + a.indices.nbytes + a.indptr.nbytes:
+            return None
+        return a.toarray()
+
+    def _shifted(self, out: np.ndarray, v: np.ndarray) -> np.ndarray:
         if self.diagonal_shift != 0.0:
             out = out + self.diagonal_shift * v
         return out
+
+    def matvec(self, v: np.ndarray) -> np.ndarray:
+        """H v for a vector v, through scipy's BLAS on the dense operand."""
+        D = self._dense
+        if D is None:
+            return self._shifted(self.entries @ v, v)
+        # D.T is D's memory in Fortran order, so zgemv takes it without a copy
+        return self._shifted(zgemv(1.0, D.T, v, trans=1), v)
+
+    def matmat(self, V: np.ndarray) -> np.ndarray:
+        """H V for an n x r block V, through numpy's BLAS on the dense operand."""
+        D = self._dense
+        return self._shifted(self.entries @ V if D is None else D @ V, V)
 
     def to_dense(self) -> np.ndarray:
         H = np.asarray(self.entries.todense(), dtype=np.complex128)

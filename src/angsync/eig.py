@@ -1,9 +1,11 @@
 """The spectral estimator: top eigenvector of the phase-offset matrix.
 
 Build the Hermitian matrix H with e^{i delta_ij} at measured pairs, compute
-its top (largest algebraic) eigenpair by implicitly restarted Lanczos
-(ARPACK through ``scipy.sparse.linalg.eigsh``), and read the angle estimates
-off the entrywise phases of the eigenvector.
+its top (largest algebraic) eigenpair by implicitly restarted Arnoldi on
+the Hermitian H (ARPACK's complex driver through ``scipy.sparse.linalg.eigs``,
+which is what ``eigsh`` calls for complex matrices), and read the angle
+estimates off the entrywise phases of the eigenvector.  On dense graphs the
+products with H run on a dense copy of it (see `SyncMatrix`).
 
 The iteration budget counts applications of H.  Convergence is decided by an
 explicit residual check on the returned pair, not by ARPACK's own flag, and
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigs
 
 from .core import (
     AngleEstimate,
@@ -87,18 +89,19 @@ class _BudgetSpent(Exception):
 
 def top_eigpair(H: SyncMatrix, tol: float = 1e-10, max_iters: int | None = None,
                 seed: int = 0) -> EigpairResult:
-    """Top (largest algebraic) eigenpair of H by implicitly restarted Lanczos.
+    """Top (largest algebraic) eigenpair of H by implicitly restarted Arnoldi.
 
-    ARPACK (``eigsh``) runs on a counting operator over `H.matvec`.
+    ARPACK (``eigs``, ``which="LR"``, as ``eigsh`` would call it) runs on a
+    counting operator over `H.matvec`.
     `max_iters` budgets applications of H, including the one explicit
     residual check on return: converged means ||Hv - lambda v|| <= tol *
     |lambda| with lambda the Rayleigh quotient at the returned unit v.  When
     the budget runs out the result is flagged non-converged, not raised, with
     `iterations == max_iters`; its vector is the one of largest Rayleigh
     quotient among those H was applied to (at worst the start vector).  The
-    start vector is seeded random complex, so the same seed gives the same
-    eigenvector bit for bit.  For n < 3, where ARPACK cannot take k = 1, the
-    pair comes from a dense ``eigh``.
+    start vector and ARPACK's restart draws come from a substream of `seed`,
+    so the same seed and H give the same eigenvector bit for bit.  For n < 3,
+    where ARPACK cannot take k = 1, the pair comes from a dense ``eigh``.
     """
     check_budget(tol, max_iters)
     check_seed(seed)
@@ -132,8 +135,8 @@ def top_eigpair(H: SyncMatrix, tol: float = 1e-10, max_iters: int | None = None,
     else:
         op = LinearOperator((H.n, H.n), matvec=counted_matvec, dtype=np.complex128)
         try:
-            _, vecs = eigsh(op, k=1, which="LA", v0=v, tol=tol, maxiter=max_iters,
-                            rng=rng)
+            _, vecs = eigs(op, k=1, which="LR", v0=v, tol=tol, maxiter=max_iters,
+                           rng=rng)
             v = vecs[:, 0] / np.linalg.norm(vecs[:, 0])
         except (_BudgetSpent, ArpackNoConvergence):
             v = best
@@ -197,13 +200,17 @@ def estimate_eig(graph: OffsetGraph, opts: EigOptions | None = None, *,
     """End-to-end spectral estimate: build H, take its top eigenpair, round to angles.
 
     A given `H` (see `sync_matrix_of`) is used instead of building one, and
-    `opts.diagonal_shift` is applied to its entries without a rebuild.
-    `diagnostics["wall_ms"]` then leaves out the build.
+    `opts.diagonal_shift` is applied to its entries without a rebuild; with
+    no shift the products run on `H` itself, so its dense operand is shared
+    with the caller's other uses of it.  `diagnostics["wall_ms"]` then leaves
+    out the build.
     """
     opts = opts or EigOptions()
     t0 = time.perf_counter()
-    entries = sync_matrix_of(graph, H).entries
-    H = SyncMatrix(n=graph.n, entries=entries, diagonal_shift=float(opts.diagonal_shift))
+    H = sync_matrix_of(graph, H)
+    if opts.diagonal_shift != 0.0:
+        H = SyncMatrix(n=graph.n, entries=H.entries,
+                       diagonal_shift=float(opts.diagonal_shift))
     res = top_eigpair(H, tol=opts.tol, max_iters=opts.max_iters, seed=opts.seed)
     return _estimate("eig", t0, res.eigvec, res.eigvec, res.eigval, res.iterations,
                      res.residual, res.converged, diagonal_shift=opts.diagonal_shift)

@@ -3,15 +3,16 @@ relative-gap clustering for multiplicity checks.
 
 `full_spectrum` takes every eigenvalue by dense eigendecomposition, for the
 histograms, and refuses sizes above `DENSE_LIMIT`.  `top_k_spectrum` takes
-only the k largest by implicitly restarted Lanczos (ARPACK through
-``scipy.sparse.linalg.eigsh``) on `H.matvec`, from a fixed internal start
-vector, so the same H gives the same values bit for bit.
+only the k largest by implicitly restarted Arnoldi (ARPACK's complex driver
+through ``scipy.sparse.linalg.eigs``) on `H.matvec`, which runs on a dense
+copy of H on dense graphs (see `SyncMatrix`).  Its start vector and restart
+draws are seeded, so the same H gives the same values bit for bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, eigsh
+from scipy.sparse.linalg import LinearOperator, eigs
 
 from .core import InvalidInputError, SyncMatrix, TooLargeError
 
@@ -29,11 +30,13 @@ def full_spectrum(H: SyncMatrix, dense_limit: int = DENSE_LIMIT) -> np.ndarray:
 def top_k_spectrum(H: SyncMatrix, k: int) -> np.ndarray:
     """The k largest (algebraic) eigenvalues, descending.
 
-    One ARPACK ``eigsh(k, which="LA")`` call on `H.matvec`, converged to
-    machine precision (``tol=0``).  The start vector and ARPACK's restart
-    draws come from a fixed private substream, so the same H gives the same
-    values bit for bit.  ARPACK's complex driver needs k < n - 1; for
-    k >= n - 1 the values come from `full_spectrum`.  When ARPACK does not
+    One ARPACK ``eigs(k, which="LR")`` call on `H.matvec`, converged to
+    machine precision (``tol=0``), keeping the real parts as ``eigsh`` does
+    for a complex H (which it hands to ``eigs`` without its generator).  The
+    start vector and ARPACK's restart draws come from a fixed private
+    substream, so the same H gives the same values bit for bit.  ARPACK's
+    complex driver needs k < n - 1; for k >= n - 1 the values come from
+    `full_spectrum`.  When ARPACK does not
     converge, its `ArpackNoConvergence` propagates.
     """
     n = H.n
@@ -44,8 +47,8 @@ def top_k_spectrum(H: SyncMatrix, k: int) -> np.ndarray:
     rng = np.random.default_rng(np.random.SeedSequence(0, spawn_key=(19,)))
     v0 = rng.normal(size=n) + 1j * rng.normal(size=n)
     op = LinearOperator((n, n), matvec=H.matvec, dtype=np.complex128)
-    vals = eigsh(op, k=k, which="LA", v0=v0, tol=0, return_eigenvectors=False, rng=rng)
-    return np.sort(vals)[::-1]
+    vals = eigs(op, k=k, which="LR", v0=v0, tol=0, return_eigenvectors=False, rng=rng)
+    return np.sort(vals.real)[::-1]
 
 
 def histogram(values, bins: int):

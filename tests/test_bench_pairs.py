@@ -1,4 +1,6 @@
 import importlib.util
+import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -108,3 +110,31 @@ def test_unknown_base_rejected_before_export(monkeypatch, capsys):
 
 def test_workloads_are_perfbench_names():
     assert "generate-solve" in bench_pairs.workloads()
+
+
+def _fake_perfbench(monkeypatch, stdout):
+    def fake_run(cmd, **kwargs):
+        return subprocess.CompletedProcess(cmd, 0, stdout=stdout, stderr="")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+
+
+RECORD = json.dumps({"correct": True, "attempted": 4, "failed": 0,
+                     "metrics": {"setup_s": {"value": 0.4}}})
+
+
+@pytest.mark.parametrize("trace", [0, 1])
+def test_every_run_keeps_its_digests(monkeypatch, tmp_path, trace):
+    digests = {"round0": {"instances": ["ab", "cd"], "sweep_csv": "ef"},
+               "replay_matches": True}
+    _fake_perfbench(monkeypatch, "complete-sweep: 4 workers\n"
+                    f"digests {json.dumps(digests)}\n  setup_s 0.4 s\n{RECORD}\n")
+    result = bench_pairs.run_bench(tmp_path, "complete-sweep", 1, 1.0, trace)
+    assert result["digests"] == digests
+    assert result["metrics"] == {"setup_s": 0.4}
+    assert ("report" in result) == bool(trace)
+
+
+def test_run_without_digests_line_records_none(monkeypatch, tmp_path):
+    _fake_perfbench(monkeypatch, f"{RECORD}\n")
+    assert bench_pairs.run_bench(tmp_path, "complete-sweep", 1, 1.0, 0)["digests"] is None

@@ -82,6 +82,17 @@ class TestGenerate:
         meta = json.loads((tmp_path / "clk.txt.meta.json").read_text())
         assert meta["params"]["outlier_fraction"] == 0.1
 
+    def test_clock_defaults_shared_with_spectrum(self):
+        # `spectrum --model clock` has no clock flags and takes generate's defaults
+        common = ["--model", "clock", "--n", "30", "--p", "0.2", "--seed", "1"]
+        parser = cli.build_parser()
+        gen = parser.parse_args(["generate", *common, "--out", "x"])
+        spc = parser.parse_args(["spectrum", *common])
+        assert cli._model_params(gen, 0.2, 1) == cli._model_params(spc, 0.2, 1) \
+            == generators.ClockModelParams(n=30, edge_probability=1.0, sigma_good=0.0,
+                                           outlier_fraction=0.8, outlier_scale=0.0,
+                                           omega=1.0, seed=1)
+
     def test_rejects_bad_probability(self, tmp_path, capsys):
         code = run(["generate", "--model", "complete", "--n", "5", "--p", "1.5",
                     "--seed", "0", "--out", str(tmp_path / "x.txt")])

@@ -1,0 +1,122 @@
+"""The dense product operand of `SyncMatrix` against the CSR it copies.
+
+A sync matrix multiplies through a dense copy of `entries` when 16 n^2 bytes
+is no more than the CSR's data, indices and indptr (complete and clock graphs
+from n = 4 on), and through the CSR otherwise.  On the dense graphs every
+product, and every solver built on them, must agree with the CSR.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+from scipy.sparse.linalg import eigs, eigsh
+
+from angsync.baselines import SdpOptions, estimate_sdp
+from angsync.core import SyncMatrix
+from angsync.eig import build_sync_matrix, top_eigpair
+from angsync.generators import (
+    ClockModelParams,
+    CompleteModelParams,
+    SmallWorldParams,
+    gen_clock,
+    gen_complete,
+    gen_small_world,
+)
+from angsync.spectra import top_k_spectrum
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _complete(n, p, seed):
+    return gen_complete(CompleteModelParams(n=n, p=p, seed=seed))[0]
+
+
+def _clock():
+    return gen_clock(ClockModelParams(n=60, edge_probability=1.0, sigma_good=0.05,
+                                      outlier_fraction=0.4, outlier_scale=20.0,
+                                      omega=1.0, seed=4))[0]
+
+
+DENSE = {"complete-4": lambda: _complete(4, 0.5, 1),
+         "complete-60": lambda: _complete(60, 0.3, 2),
+         "complete-400": lambda: _complete(400, 0.1, 3),
+         "clock-60": _clock}
+CSR = {"complete-3": lambda: _complete(3, 0.5, 1),
+       "small-world": lambda: gen_small_world(SmallWorldParams(n=400, epsilon=0.05, p=0.3,
+                                                               seed=5))[0]}
+
+
+@pytest.mark.parametrize("name", [*DENSE, *CSR])
+def test_operand_choice(name):
+    H = build_sync_matrix({**DENSE, **CSR}[name]())
+    if name in DENSE:
+        assert H._dense is H._dense  # made once
+        assert np.array_equal(H._dense, H.entries.toarray())
+    else:
+        assert H._dense is None
+
+
+@pytest.mark.parametrize("shift", [0.0, 0.3])
+@pytest.mark.parametrize("name", list(DENSE))
+def test_products_equal_csr_products(name, shift):
+    H = build_sync_matrix(DENSE[name](), diagonal_shift=shift)
+    rng = np.random.default_rng(6)
+    v = rng.normal(size=H.n) + 1j * rng.normal(size=H.n)
+    V = rng.normal(size=(H.n, 5)) + 1j * rng.normal(size=(H.n, 5))
+    for got, ref in ((H.matvec(v), H.entries @ v + shift * v),
+                     (H.matmat(V), H.entries @ V + shift * V)):
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("name", list(DENSE))
+def test_top_eigpair_matches_csr_reference(name):
+    H = build_sync_matrix(DENSE[name]())
+    res = top_eigpair(H, tol=1e-12, seed=1)
+    vals, vecs = eigsh(H.entries, k=1, which="LA", tol=1e-14)
+    assert res.converged
+    assert res.eigval == pytest.approx(vals[0], rel=1e-10)
+    assert abs(np.vdot(vecs[:, 0], res.eigvec)) >= 1 - 1e-8
+
+
+@pytest.mark.parametrize("name", ["complete-60", "complete-400", "clock-60"])
+def test_top_k_spectrum_matches_csr_reference(name):
+    H = build_sync_matrix(DENSE[name]())
+    ref = np.sort(eigs(H.entries, k=9, which="LR", tol=0,
+                       return_eigenvectors=False).real)[::-1]
+    assert np.max(np.abs(top_k_spectrum(H, 9) - ref)) <= 1e-10 * abs(ref[0])
+
+
+@pytest.mark.parametrize("name", ["complete-4", "complete-60", "clock-60"])
+def test_sdp_matches_csr_run(name, monkeypatch):
+    graph = DENSE[name]()
+    est, rank = estimate_sdp(graph, SdpOptions(seed=2))
+    monkeypatch.setattr(SyncMatrix, "_dense", None)  # every product on the CSR
+    ref, ref_rank = estimate_sdp(graph, SdpOptions(seed=2))
+    assert rank == ref_rank
+    f, f_ref = est.diagnostics["objective"], ref.diagnostics["objective"]
+    assert f == pytest.approx(f_ref, rel=1e-12)
+    assert abs(np.vdot(ref.eigvec, est.eigvec)) >= 1 - 1e-8
+
+
+def test_sweep_bytes_independent_of_blas_threads(tmp_path):
+    """A deterministic sweep on a dense graph writes the same bytes with one
+    and with two BLAS threads (two subprocesses, at most two threads each)."""
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(ROOT / "src")] + ([os.environ["PYTHONPATH"]]
+                                   if os.environ.get("PYTHONPATH") else [])))
+        for key in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            env[key] = threads
+        out = tmp_path / f"sweep-{threads}.csv"
+        subprocess.run([sys.executable, "-m", "angsync.cli", "sweep", "--model", "complete",
+                        "--n", "60", "--p", "0.4,0.2", "--trials", "2", "--seed", "3",
+                        "--method", "eig,lsqr,sdp", "--deterministic", "--out", str(out)],
+                       env=env, check=True, capture_output=True, timeout=300)
+        outputs.append((out.read_bytes(), out.with_name(out.stem + ".agg.csv").read_bytes()))
+    assert outputs[0] == outputs[1]

@@ -3,6 +3,8 @@ import pytest
 import scipy.sparse as sp
 from scipy.integrate import quad
 
+import angsync.eig
+
 from angsync.core import (
     TWO_PI,
     InvalidInputError,
@@ -174,6 +176,22 @@ class TestTopEigpair:
                 top_eigpair(H, tol=tol)
         with pytest.raises(InvalidInputError):
             top_eigpair(H, max_iters=0)
+
+    def test_arpack_gets_the_seeded_generator(self, monkeypatch):
+        # eigsh hands a complex operator to eigs without its generator
+        states = []
+        real = angsync.eig.eigs
+
+        def spy(*args, rng=None, **kwargs):
+            states.append(rng.bit_generator.state)
+            return real(*args, rng=rng, **kwargs)
+
+        monkeypatch.setattr(angsync.eig, "eigs", spy)
+        graph, _ = gen_complete(CompleteModelParams(n=30, p=0.5, seed=6))
+        top_eigpair(build_sync_matrix(graph), tol=1e-10, seed=42)
+        expected = np.random.default_rng(np.random.SeedSequence(42, spawn_key=(17,)))
+        expected.normal(size=30), expected.normal(size=30)  # the start vector
+        assert states == [expected.bit_generator.state]
 
     @pytest.mark.parametrize("n,p,seed", [(5, 1.0, 1), (8, 0.7, 2), (12, 0.7, 3)])
     def test_oracle_equivalence_dense(self, n, p, seed):

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
+import angsync.spectra
 from angsync.core import InvalidInputError, OffsetGraph, TooLargeError, reduce_angles
 from angsync.eig import build_sync_matrix, top_eigpair
 from angsync.generators import (
+    ClockModelParams,
     CompleteModelParams,
     SmallWorldParams,
+    gen_clock,
     gen_complete,
     gen_small_world,
 )
@@ -83,13 +86,32 @@ class TestTopK:
     @pytest.mark.parametrize("gen, params", [
         (gen_small_world, SmallWorldParams(n=400, epsilon=0.2, p=1.0, seed=2)),
         (gen_complete, CompleteModelParams(n=400, p=0.0, seed=9)),  # no spectral gap
-    ], ids=["small-world", "complete-p0"])
+        (gen_clock, ClockModelParams(n=120, edge_probability=1.0, sigma_good=0.05,
+                                     outlier_fraction=0.5, outlier_scale=20.0, omega=1.0,
+                                     seed=3)),
+    ], ids=["small-world", "complete-p0", "clock"])
     def test_matches_dense_eigvalsh(self, gen, params):
         H = build_sync_matrix(gen(params)[0])
         dense = np.linalg.eigvalsh(H.to_dense())[::-1][:9]
         top = top_k_spectrum(H, 9)
         assert np.all(np.diff(top) <= 0)
         assert np.max(np.abs(top - dense)) <= 1e-10 * abs(dense[0])
+
+    def test_arpack_gets_the_fixed_generator(self, monkeypatch):
+        # eigsh hands a complex operator to eigs without its generator
+        states = []
+        real = angsync.spectra.eigs
+
+        def spy(*args, rng=None, **kwargs):
+            states.append(rng.bit_generator.state)
+            return real(*args, rng=rng, **kwargs)
+
+        monkeypatch.setattr(angsync.spectra, "eigs", spy)
+        graph, _ = gen_complete(CompleteModelParams(n=30, p=0.5, seed=6))
+        top_k_spectrum(build_sync_matrix(graph), 4)
+        expected = np.random.default_rng(np.random.SeedSequence(0, spawn_key=(19,)))
+        expected.normal(size=30), expected.normal(size=30)  # the start vector
+        assert states == [expected.bit_generator.state]
 
     def test_repeat_calls_bit_identical(self):
         graph, _ = gen_small_world(SmallWorldParams(n=300, epsilon=0.2, p=0.5, seed=4))
