@@ -15,8 +15,9 @@ per-layer self-time table included.
 Writes `BENCH_<label>.json`: for each pair the gated end-to-end metrics of
 BENCHMARK.json, each run's correctness and the digests it printed (its first
 round's instances and outputs, so a record shows whether both sides computed
-the same thing); per metric the median and quartiles of each side and the
-number of pairs the working tree won; and the environment (CPU count,
+the same thing) and whether the two sides printed the same digests; the
+number of such pairs; per metric the median and quartiles of each side and
+the number of pairs the working tree won; and the environment (CPU count,
 Python, numpy and scipy versions, both revisions, and the paths where the
 working tree differs from its HEAD).
 After the change is committed, pass `--base HEAD~1`.  Exits 1 when any run
@@ -80,6 +81,11 @@ def run_bench(tree: Path, workload: str, seed: int, seconds: float, trace: int) 
     if trace:
         result["report"] = lines[:-1]  # includes the per-layer self-time table
     return result
+
+
+def same_digests(base: dict, change: dict) -> bool:
+    """Whether both runs of a pair printed digests, and the same ones."""
+    return base["digests"] is not None and base["digests"] == change["digests"]
 
 
 def quartiles(values):
@@ -159,6 +165,7 @@ def main(argv=None) -> int:
             pair = {"seed": seed, "first": order[0]}
             for side in order:
                 pair[side] = run_bench(trees[side], args.workload, seed, seconds, 0)
+            pair["same_digests"] = same_digests(pair["base"], pair["change"])
             pairs.append(pair)
             print(f"seed {seed}: " + "  ".join(
                 f"{side} {pair[side]['metrics']}" for side in ("base", "change")),
@@ -177,6 +184,7 @@ def main(argv=None) -> int:
         "summary": summarize(pairs, gated),
         "all_correct": all(p[s]["correct"] and not p[s]["failed"]
                            for p in pairs for s in ("base", "change")),
+        "same_digests_pairs": sum(p["same_digests"] for p in pairs),
         "pairs": pairs,
         "traced": traced,
         "env": {
@@ -198,6 +206,7 @@ def main(argv=None) -> int:
               f"({s['base']['q1']:.4g}-{s['base']['q3']:.4g}) -> change "
               f"{s['change']['median']:.4g} ({s['change']['q1']:.4g}-"
               f"{s['change']['q3']:.4g}), {s['pairs_won']}/{s['pairs']} pairs won")
+    print(f"same digests on {record['same_digests_pairs']}/{len(pairs)} pairs")
     print(f"wrote {out}")
     return 0 if record["all_correct"] else 1
 

@@ -120,7 +120,11 @@ def sdp_objective(graph: OffsetGraph, theta) -> float:
     th = np.asarray(theta, dtype=np.float64)
     if th.size != graph.n:
         raise InvalidInputError("theta length != n")
-    return float(2.0 * np.sum(np.cos(graph.delta - th[graph.i] + th[graph.j])))
+    x = th[graph.i]
+    np.subtract(graph.delta, x, out=x)
+    y = th[graph.j]
+    y += x  # th_j + (delta - th_i) is (delta - th_i) + th_j: IEEE addition commutes
+    return float(2.0 * np.sum(np.cos(y, out=y)))
 
 
 def _normalize_rows(V):

@@ -4,6 +4,14 @@ Angles are stored in radians on [0, 2*pi), double precision.  All reductions
 mod 2*pi happen at type boundaries so the stored invariants are checkable.
 Every type here is immutable after construction and safe to share across
 threads; the metric functions are pure.
+
+The per-edge passes (scoring, angle reduction, the codes of OffsetGraph)
+write into a few arrays that they reuse, through ``out=`` and in-place
+operators, instead of making a new array at each numpy call.  Under glibc's
+initial threshold every fresh array of 128 KiB or more (16,384 doubles) is a
+new mapping whose pages fault in on first touch, so at m = 79,800 edges each
+temporary cost more than the arithmetic done in it.  Each pass still runs
+the same IEEE operations in the same order, so every result keeps its bits.
 """
 
 from __future__ import annotations
@@ -65,7 +73,7 @@ def check_budget(tol, max_iters) -> None:
         raise InvalidInputError("max_iters must be >= 1")
 
 
-def _mod2pi(x: np.ndarray) -> np.ndarray:
+def _mod2pi(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """np.mod(x, 2*pi) bit for bit, for a float64 array, without a division.
 
     When every value lies in (-2pi, 4pi) one add per entry suffices: x + 2pi
@@ -73,32 +81,51 @@ def _mod2pi(x: np.ndarray) -> np.ndarray:
     which turns -0.0 into +0.0 as np.mod does.  The masks come from x, not
     from the shifted values, so a tiny negative x gives exactly 2pi, as
     np.mod does.  Other inputs, NaN and inf included, go to np.mod.
+    Writes into `out` (a fresh array when None), which must not be `x`.
     """
     if not (x.size and x.min() > -TWO_PI and x.max() < 2.0 * TWO_PI):
-        return np.mod(x, TWO_PI)
-    shift = (x < 0.0).astype(np.float64)
-    shift -= x >= TWO_PI
-    shift *= TWO_PI
-    return x + shift
+        return np.mod(x, TWO_PI, out=out)
+    if out is None:
+        out = np.empty_like(x)
+    np.less(x, 0.0, out=out)  # the shift, built in `out`
+    out -= x >= TWO_PI
+    out *= TWO_PI
+    out += x  # shift + x is x + shift: IEEE addition commutes
+    return out
+
+
+def _reduce(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """reduce_angles of a float64 array into `out` (fresh when None; not `x`)."""
+    out = _mod2pi(x, out)
+    out[out >= TWO_PI] = 0.0
+    return out
 
 
 def reduce_angles(x):
     """Reduce angles to [0, 2*pi). Accepts scalars or arrays, returns float64.
 
     np.mod can return exactly 2*pi for tiny negative inputs; those are mapped
-    back to 0 so the half-open interval invariant holds exactly.
+    back to 0 so the half-open interval invariant holds exactly.  An array
+    comes back as a new array.
     """
-    out = _mod2pi(np.asarray(x, dtype=np.float64))
-    out = np.where(out >= TWO_PI, 0.0, out)
+    out = _reduce(np.atleast_1d(np.asarray(x, dtype=np.float64)))
     if np.ndim(x) == 0:
-        return float(out)
+        return float(out[0])
     return out
+
+
+def _circdist0(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """circdist(x, 0.0) into `out`, with `x` overwritten as work space."""
+    np.abs(x, out=x)
+    _mod2pi(x, out)
+    np.subtract(TWO_PI, out, out=x)
+    return np.minimum(out, x, out=out)
 
 
 def circdist(a, b):
     """Circular distance between angles: min(|a-b| mod 2pi, 2pi - that)."""
-    d = _mod2pi(np.abs(np.asarray(a, dtype=np.float64) - np.asarray(b, dtype=np.float64)))
-    out = np.minimum(d, TWO_PI - d)
+    x = np.asarray(np.asarray(a, dtype=np.float64) - np.asarray(b, dtype=np.float64))
+    out = _circdist0(x, np.empty_like(x))
     if np.ndim(a) == 0 and np.ndim(b) == 0:
         return float(out)
     return out
@@ -130,18 +157,19 @@ class OffsetGraph:
         delta = np.asarray(self.delta, dtype=np.float64)
         if not np.isfinite(delta).all():
             raise InvalidInputError("offsets must be finite")
-        delta = np.atleast_1d(reduce_angles(delta)).copy()
+        delta = np.atleast_1d(reduce_angles(delta))  # a new array
         if n < 1:
             raise InvalidInputError(f"need n >= 1, got {n}")
         if not (i.ndim == j.ndim == delta.ndim == 1 and i.size == j.size == delta.size):
             raise InvalidInputError("i, j, delta must be 1-d arrays of equal length")
         if i.size:
-            if not np.all((0 <= i) & (i < j) & (j < n)):
+            if not (i.min() >= 0 and j.max() < n and np.all(i < j)):
                 raise InvalidInputError("edges must satisfy 0 <= i < j < n")
             # strictly ascending codes hold no duplicate; others are sorted
             # and diffed (np.unique takes a hash path in numpy 2.4 that is
             # about 20x slower at m = 79,800)
-            codes = i * n + j
+            codes = i * n
+            codes += j
             if (not np.all(codes[1:] > codes[:-1])
                     and not np.all(np.diff(np.sort(codes)))):
                 raise InvalidInputError("duplicate edge pair")
@@ -155,7 +183,11 @@ class OffsetGraph:
         return self.i.size
 
     def degrees(self) -> np.ndarray:
-        return np.bincount(np.concatenate([self.i, self.j]), minlength=self.n)
+        # counted in place: np.bincount would first copy each read-only array
+        deg = np.zeros(self.n, dtype=np.intp)
+        np.add.at(deg, self.i, 1)
+        np.add.at(deg, self.j, 1)
+        return deg
 
 
 @dataclass(frozen=True)
@@ -323,13 +355,46 @@ def rho2(eigvec, theta_true) -> float:
     return float(np.abs(np.vdot(z, v)))
 
 
-def sce(theta, graph: OffsetGraph, tol: float) -> int:
-    """Count of offset equations violated beyond `tol` (circular distance)."""
+def _check_sce_tol(tol) -> None:
     if tol < 0:
         raise InvalidInputError("tol must be >= 0")
+
+
+def _check_theta0(theta0) -> None:
+    if not 0.0 < theta0 < np.pi:
+        raise InvalidInputError("theta0 must lie in (0, pi)")
+
+
+def _edge_diffs(theta, graph: OffsetGraph):
+    """(theta[i] - theta[j] per edge, a work array of the same size)."""
     th = np.asarray(theta, dtype=np.float64)
-    diffs = reduce_angles(th[graph.i] - th[graph.j])
-    return int(np.count_nonzero(circdist(diffs, graph.delta) > tol))
+    diffs, work = th[graph.i], th[graph.j]
+    diffs -= work
+    return diffs, work
+
+
+def _violations(diffs, delta, tol, a, b) -> int:
+    """sce from the edge differences, with `a` and `b` as work arrays."""
+    _reduce(diffs, a)
+    np.subtract(a, delta, out=b)
+    return int(np.count_nonzero(_circdist0(b, a) > tol))
+
+
+def _soft_penalty(diffs, delta, theta0, a, b) -> float:
+    """sce_f from the edge differences, with `a` and `b` as work arrays."""
+    np.subtract(diffs, delta, out=a)
+    d = _circdist0(a, b)
+    d /= theta0
+    np.square(d, out=d)
+    np.minimum(1.0, d, out=d)
+    return float(np.sum(d))
+
+
+def sce(theta, graph: OffsetGraph, tol: float) -> int:
+    """Count of offset equations violated beyond `tol` (circular distance)."""
+    _check_sce_tol(tol)
+    diffs, work = _edge_diffs(theta, graph)
+    return _violations(diffs, graph.delta, tol, work, np.empty_like(diffs))
 
 
 def sce_f(theta, graph: OffsetGraph, theta0: float = DEFAULT_THETA0) -> float:
@@ -338,12 +403,9 @@ def sce_f(theta, graph: OffsetGraph, theta0: float = DEFAULT_THETA0) -> float:
     Per edge: f(x) = min(1, (circdist(x, 0)/theta0)^2), smooth near 0 and
     saturating at 1 beyond theta0.
     """
-    if not 0.0 < theta0 < np.pi:
-        raise InvalidInputError("theta0 must lie in (0, pi)")
-    th = np.asarray(theta, dtype=np.float64)
-    x = th[graph.i] - th[graph.j] - graph.delta
-    d = circdist(x, 0.0)
-    return float(np.sum(np.minimum(1.0, (d / theta0) ** 2)))
+    _check_theta0(theta0)
+    diffs, work = _edge_diffs(theta, graph)
+    return _soft_penalty(diffs, graph.delta, theta0, work, np.empty_like(diffs))
 
 
 def align_global_phase(theta_hat, theta_ref) -> np.ndarray:
@@ -357,12 +419,22 @@ def align_global_phase(theta_hat, theta_ref) -> np.ndarray:
 
 def evaluate(graph: OffsetGraph, truth: GroundTruth, estimate: AngleEstimate,
              sce_tol: float = 1e-6, theta0: float = DEFAULT_THETA0) -> CorrelationReport:
-    """Score an estimate against ground truth and against the measurements."""
+    """Score an estimate against ground truth and against the measurements.
+
+    sce and sce_f share one gather of theta_hat[i] - theta_hat[j] and two
+    work arrays.  The checks run in the order that calling rho1, rho2, sce
+    and sce_f one after the other would run them, so a bad input raises the
+    same error."""
+    r1 = rho1(estimate.theta_hat, truth.theta)
+    r2 = rho2(estimate.eigvec, truth.theta)
+    _check_sce_tol(sce_tol)
+    diffs, a = _edge_diffs(estimate.theta_hat, graph)
+    _check_theta0(theta0)
+    b = np.empty_like(diffs)
     return CorrelationReport(
-        rho1=rho1(estimate.theta_hat, truth.theta),
-        rho2=rho2(estimate.eigvec, truth.theta),
-        sce=sce(estimate.theta_hat, graph, sce_tol),
-        sce_f=sce_f(estimate.theta_hat, graph, theta0),
+        rho1=r1, rho2=r2,
+        sce=_violations(diffs, graph.delta, sce_tol, a, b),
+        sce_f=_soft_penalty(diffs, graph.delta, theta0, a, b),
     )
 
 

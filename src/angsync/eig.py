@@ -43,13 +43,19 @@ def build_sync_matrix(graph: OffsetGraph, diagonal_shift: float = 0.0) -> SyncMa
 
     The conjugate half comes first: in row r its columns lie below r and the
     forward half's above, so when the edges are in ascending (i, j) order
-    every row arrives sorted and the CSR conversion sorts nothing."""
-    w = np.exp(1j * graph.delta)
-    entries = sp.coo_matrix(
-        (np.concatenate([w.conj(), w]),
-         (np.concatenate([graph.j, graph.i]), np.concatenate([graph.i, graph.j]))),
-        shape=(graph.n, graph.n),
-    ).tocsr()
+    every row arrives sorted and the CSR conversion sorts nothing.  The 2m
+    values are computed in place in one array, and the row and column arrays
+    are made in scipy's index dtype, so the COO constructor copies neither."""
+    m = graph.m
+    data = np.empty(2 * m, dtype=np.complex128)
+    w = data[m:]
+    np.multiply(1j, graph.delta, out=w)
+    np.exp(w, out=w)
+    np.conjugate(w, out=data[:m])
+    idx = sp.get_index_dtype(maxval=max(graph.n, 2 * m))
+    rows = np.concatenate([graph.j, graph.i], dtype=idx)
+    cols = np.concatenate([graph.i, graph.j], dtype=idx)
+    entries = sp.coo_matrix((data, (rows, cols)), shape=(graph.n, graph.n)).tocsr()
     return SyncMatrix(n=graph.n, entries=entries, diagonal_shift=float(diagonal_shift))
 
 

@@ -138,3 +138,43 @@ def test_every_run_keeps_its_digests(monkeypatch, tmp_path, trace):
 def test_run_without_digests_line_records_none(monkeypatch, tmp_path):
     _fake_perfbench(monkeypatch, f"{RECORD}\n")
     assert bench_pairs.run_bench(tmp_path, "complete-sweep", 1, 1.0, 0)["digests"] is None
+
+
+DIGESTS = {"round0": {"instances": ["ab"], "sweep_csv": "ef"}, "replay_matches": True}
+
+
+@pytest.mark.parametrize("change, same", [
+    (DIGESTS, True),
+    ({"round0": {"instances": ["ab"], "sweep_csv": "00"}, "replay_matches": True}, False),
+    (None, False),
+], ids=["equal", "different", "missing"])
+def test_same_digests(change, same):
+    assert bench_pairs.same_digests({"digests": DIGESTS}, {"digests": change}) is same
+    assert bench_pairs.same_digests({"digests": None}, {"digests": None}) is False
+
+
+@pytest.mark.parametrize("differ_at, expected", [(None, 3), (1002, 2)])
+def test_record_counts_pairs_with_same_digests(monkeypatch, tmp_path, capsys,
+                                               differ_at, expected):
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(
+        {"run_seconds": 1, "end_to_end": [{"name": "setup_s", "better": "lower"}]}))
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    monkeypatch.setattr(bench_pairs, "workloads", lambda: ("generate-solve",))
+    monkeypatch.setattr(bench_pairs, "git", lambda *args: "")
+    monkeypatch.setattr(bench_pairs, "export_revision", lambda rev, dest: None)
+
+    def fake_run(tree, workload, seed, seconds, trace):
+        digests = dict(DIGESTS)
+        if tree == tmp_path and seed == differ_at:
+            digests["replay_matches"] = False
+        return {"correct": True, "failed": 0, "metrics": {"setup_s": 0.4},
+                "digests": digests}
+
+    monkeypatch.setattr(bench_pairs, "run_bench", fake_run)
+    assert bench_pairs.main(["--workload", "generate-solve", "--seeds", "1001-1003",
+                             "--label", "x", "--tmpdir", str(tmp_path)]) == 0
+    record = json.loads((tmp_path / "BENCH_x.json").read_text())
+    assert record["same_digests_pairs"] == expected
+    assert [p["same_digests"] for p in record["pairs"]] == [
+        p["seed"] != differ_at for p in record["pairs"]]
+    assert f"same digests on {expected}/3 pairs" in capsys.readouterr().out

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import hashlib
 import json
 
 import numpy as np
@@ -424,6 +425,16 @@ class TestSweep:
         assert err == f"error: {message}\n"
         assert calls == []
         assert not out.exists() and not (tmp_path / "sw.agg.csv").exists()
+
+    def test_pinned_deterministic_digest(self, tmp_path):
+        # SHA-256 of the CSV, recorded before the per-edge passes (H's build,
+        # scoring) wrote into work arrays; a pass that moves a bit changes it
+        out = tmp_path / "sw.csv"
+        assert run(["sweep", "--model", "complete", "--n", "60", "--p", "0.4,0.2",
+                    "--method", "eig,lsqr", "--trials", "2", "--deterministic",
+                    "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "d2ac51616606811e6913a9bf518c7c1ea825d450fa10414c2325a1df024db894")
 
     def test_default_tol_and_budget_resolve_as_before(self, tmp_path):
         a = tmp_path / "a.csv"

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 from fractions import Fraction
 from pathlib import Path
@@ -10,8 +11,12 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 import angsync.core
+from angsync.baselines import sdp_objective
 from angsync.core import (
+    DEFAULT_THETA0,
     TWO_PI,
+    AngleEstimate,
+    CorrelationReport,
     GroundTruth,
     InvalidInputError,
     OffsetGraph,
@@ -360,6 +365,202 @@ def test_evaluate_report_consistency():
     assert report.rho2 == pytest.approx(rho2(est.eigvec, truth.theta))
     assert 0 <= report.sce <= graph.m
     assert report.sce_f >= 0.0
+
+
+# sce, sce_f, evaluate and sdp_objective as they stood before their per-edge
+# passes wrote into work arrays, kept as references: the rewrite must keep
+# every bit of their results and every error they raised.
+def _sce_reference(theta, graph, tol):
+    if tol < 0:
+        raise InvalidInputError("tol must be >= 0")
+    th = np.asarray(theta, dtype=np.float64)
+    diffs = _reduce_reference(th[graph.i] - th[graph.j])
+    return int(np.count_nonzero(_circdist_reference(diffs, graph.delta) > tol))
+
+
+def _sce_f_reference(theta, graph, theta0=DEFAULT_THETA0):
+    if not 0.0 < theta0 < np.pi:
+        raise InvalidInputError("theta0 must lie in (0, pi)")
+    th = np.asarray(theta, dtype=np.float64)
+    x = th[graph.i] - th[graph.j] - graph.delta
+    d = _circdist_reference(x, 0.0)
+    return float(np.sum(np.minimum(1.0, (d / theta0) ** 2)))
+
+
+def _evaluate_reference(graph, truth, estimate, sce_tol=1e-6, theta0=DEFAULT_THETA0):
+    return CorrelationReport(
+        rho1=rho1(estimate.theta_hat, truth.theta),
+        rho2=rho2(estimate.eigvec, truth.theta),
+        sce=_sce_reference(estimate.theta_hat, graph, sce_tol),
+        sce_f=_sce_f_reference(estimate.theta_hat, graph, theta0),
+    )
+
+
+def _sdp_objective_reference(graph, theta):
+    th = np.asarray(theta, dtype=np.float64)
+    if th.size != graph.n:
+        raise InvalidInputError("theta length != n")
+    return float(2.0 * np.sum(np.cos(graph.delta - th[graph.i] + th[graph.j])))
+
+
+def _bits(x):
+    return np.float64(x).tobytes()
+
+
+def _report_bits(r):
+    return (_bits(r.rho1), _bits(r.rho2), r.sce, _bits(r.sce_f))
+
+
+def _estimate(theta_hat):
+    th = np.asarray(theta_hat, dtype=np.float64)
+    return AngleEstimate(theta_hat=th, eigvec=np.exp(1j * th) / np.sqrt(th.size),
+                         top_eigval=0.0, iterations=0, residual=0.0, method_tag="test")
+
+
+_SCORED = {
+    "complete-400": lambda: gen_complete(CompleteModelParams(n=400, p=0.1, seed=3)),
+    "small-world": lambda: gen_small_world(SmallWorldParams(n=300, epsilon=0.2, p=0.5,
+                                                            seed=1)),
+    "clock": lambda: gen_clock(ClockModelParams(n=120, edge_probability=0.3,
+                                                sigma_good=0.01, outlier_fraction=0.4,
+                                                outlier_scale=50.0, omega=1.0,
+                                                seed=5))[:2],
+}
+
+
+def _hand_made(theta):
+    """theta_hat values where a rewritten reduction could move a bit: exact 0,
+    the double below 2pi, -0.0, and arrays outside (-2pi, 4pi), which take
+    the np.mod fallback."""
+    n = theta.size
+    mixed = theta.copy()
+    mixed[::3], mixed[1::3] = 0.0, np.nextafter(TWO_PI, 0.0)
+    mixed[2::6] = -0.0
+    return {
+        "zeros": np.zeros(n),
+        "below-2pi": np.full(n, np.nextafter(TWO_PI, 0.0)),
+        "minus-zero": np.full(n, -0.0),
+        "mixed": mixed,
+        "shifted-up": theta + 20.0,
+        "spread": 3.0 * theta - 9.0,
+        "edge-angles": np.resize([x for x in EDGE_ANGLES if np.isfinite(x)], n),
+    }
+
+
+class TestWorkArrayPasses:
+    """Scoring and the SDP objective match the references bit for bit and
+    leave their inputs as they were."""
+
+    @pytest.fixture(scope="class", params=list(_SCORED))
+    def instance(self, request):
+        graph, truth = _SCORED[request.param]()
+        est = estimate_eig(graph)
+        thetas = {"estimate": est.theta_hat, "truth": truth.theta,
+                  **_hand_made(truth.theta)}
+        return graph, truth, est, thetas
+
+    def test_evaluate_matches_reference(self, instance):
+        graph, truth, est, thetas = instance
+        for name, theta in thetas.items():
+            e = est if name == "estimate" else _estimate(theta)
+            for sce_tol, theta0 in [(1e-6, DEFAULT_THETA0), (0.0, 0.01), (np.nan, 3.0)]:
+                got = evaluate(graph, truth, e, sce_tol, theta0)
+                want = _evaluate_reference(graph, truth, e, sce_tol, theta0)
+                assert _report_bits(got) == _report_bits(want), (name, sce_tol)
+
+    def test_parts_match_reference(self, instance):
+        graph, _, _, thetas = instance
+        with np.errstate(invalid="ignore"):
+            thetas = {**thetas, "nan": np.where(np.arange(graph.n) % 5, thetas["truth"],
+                                                np.nan)}
+            for name, theta in thetas.items():
+                assert sce(theta, graph, 1e-6) == _sce_reference(theta, graph, 1e-6), name
+                assert _bits(sce_f(theta, graph, 0.3)) == _bits(
+                    _sce_f_reference(theta, graph, 0.3)), name
+                assert _bits(sdp_objective(graph, theta)) == _bits(
+                    _sdp_objective_reference(graph, theta)), name
+
+    def test_inputs_untouched(self, instance):
+        graph, truth, _, thetas = instance
+        theta = thetas["spread"].copy()
+        est = _estimate(theta)
+        before = [a.copy() for a in (theta, est.eigvec, truth.theta, truth.good_mask,
+                                     graph.i, graph.j, graph.delta)]
+        evaluate(graph, truth, est)
+        sce(theta, graph, 1e-6)
+        sce_f(theta, graph)
+        sdp_objective(graph, theta)
+        after = (theta, est.eigvec, truth.theta, truth.good_mask, graph.i, graph.j,
+                 graph.delta)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(before, after))
+        assert theta is est.theta_hat
+
+    def test_degrees_match_concatenated_count(self, instance):
+        graph = instance[0]
+        want = np.bincount(np.concatenate([graph.i, graph.j]), minlength=graph.n)
+        got = graph.degrees()
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def _raised(f, *args):
+    with pytest.raises(Exception) as info:
+        f(*args)
+    return type(info.value), str(info.value)
+
+
+class TestScoringErrors:
+    """Bad input raises what the references raise, checks in the same order."""
+
+    graph, truth = gen_complete(CompleteModelParams(n=30, p=0.5, seed=2))
+
+    @pytest.mark.parametrize("size, eigvec_scale, sce_tol, theta0", [
+        (29, 1.0, 1e-6, DEFAULT_THETA0),
+        (31, 1.0, 1e-6, DEFAULT_THETA0),
+        (30, 2.0, 1e-6, DEFAULT_THETA0),
+        (30, 1.0, -1e-9, DEFAULT_THETA0),
+        (30, 1.0, 1e-6, 0.0),
+        (30, 1.0, 1e-6, np.pi),
+        (30, 1.0, 1e-6, np.nan),
+        (30, 1.0, -1e-9, np.nan),
+    ], ids=["short-theta", "long-theta", "non-unit-eigvec", "negative-tol", "theta0-zero",
+            "theta0-pi", "theta0-nan", "negative-tol-and-bad-theta0"])
+    def test_evaluate(self, size, eigvec_scale, sce_tol, theta0):
+        est = _estimate(np.resize(self.truth.theta, size))
+        est = dataclasses.replace(est, eigvec=eigvec_scale * est.eigvec)
+        args = (self.graph, self.truth, est, sce_tol, theta0)
+        want = _raised(_evaluate_reference, *args)
+        assert _raised(evaluate, *args) == want
+        if sce_tol < 0:
+            assert want == (InvalidInputError, "tol must be >= 0")
+
+    @pytest.mark.parametrize("theta", [np.zeros(29), np.zeros(0)], ids=["short", "empty"])
+    def test_parts_with_short_theta(self, theta):
+        g = self.graph
+        assert _raised(sce, theta, g, 1e-6) == _raised(_sce_reference, theta, g, 1e-6)
+        assert _raised(sce_f, theta, g, 0.3) == _raised(_sce_f_reference, theta, g, 0.3)
+        assert (_raised(sdp_objective, g, theta)
+                == _raised(_sdp_objective_reference, g, theta))
+
+
+class TestReduceAngles:
+    @pytest.mark.parametrize("x", [-1e-300, 7.0, np.float64(-0.0), np.array(13.0)])
+    def test_scalar_gives_float(self, x):
+        out = reduce_angles(x)
+        assert type(out) is float
+        assert _bits(out) == _reduce_reference(np.float64(x)).tobytes()
+
+    def test_array_gives_new_array(self):
+        x = np.array([0.5, -0.5, TWO_PI])
+        out = reduce_angles(x)
+        assert not np.shares_memory(out, x)
+        assert x.tolist() == [0.5, -0.5, TWO_PI]
+
+    def test_offset_graph_owns_its_delta(self):
+        delta = np.array([0.25, 1.5])
+        g = OffsetGraph(n=3, i=[0, 1], j=[1, 2], delta=delta)
+        assert not np.shares_memory(g.delta, delta)
+        delta[0] = 2.0
+        assert g.delta.tolist() == [0.25, 1.5]
 
 
 def test_connected_components():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from angsync import generators
-from angsync.core import TWO_PI, InvalidInputError, circdist, rho1, sce
+from angsync.core import TWO_PI, InvalidInputError, circdist, rho1, sce, write_instance
 from angsync.eig import EigOptions, estimate_eig
 from angsync.generators import (
     ClockModelParams,
@@ -83,6 +83,22 @@ class TestComplete:
         frac = truth.good_mask.mean()
         band = 4.0 * np.sqrt(0.3 * 0.7 / graph.m)
         assert abs(frac - 0.3) <= band
+
+    def test_pinned_instance_digest(self, tmp_path):
+        # SHA-256 of (i, j, delta, theta, good mask) and of the written file,
+        # recorded before the per-edge passes wrote into work arrays
+        graph, truth = gen_complete(CompleteModelParams(n=60, p=0.3, seed=5))
+        h = hashlib.sha256()
+        for arr, dtype in ((graph.i, np.int64), (graph.j, np.int64),
+                           (graph.delta, np.float64), (truth.theta, np.float64),
+                           (truth.good_mask, np.uint8)):
+            h.update(np.ascontiguousarray(arr.astype(dtype)).tobytes())
+        assert h.hexdigest() == (
+            "5cd812bf42914df9ca9002b591b303bfdcc2763049d9957a9c74cb5ae6856e72")
+        path = tmp_path / "inst.txt"
+        write_instance(path, graph, truth.good_mask)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "e1c85d8d922bd57c8f0eac17e60abe29dea782a56408ef5fa43b3a48ef5f4c49")
 
 
 class TestSmallWorld:
