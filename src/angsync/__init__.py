@@ -12,6 +12,7 @@ from .baselines import (
     estimate_lsqr,
     estimate_sdp,
     sdp_objective,
+    solve,
 )
 from .core import (
     AngleEstimate,
@@ -63,7 +64,7 @@ __all__ = [
     "estimate_eig", "estimate_lsqr", "estimate_sdp", "evaluate",
     "full_spectrum", "gen_clock", "gen_complete", "gen_small_world",
     "histogram", "is_connected", "read_instance", "reduce_angles", "rho1",
-    "rho2", "round_to_angles", "sce", "sce_f", "sdp_objective",
+    "rho2", "round_to_angles", "sce", "sce_f", "sdp_objective", "solve",
     "top_eigpair", "top_k_spectrum", "triangle_consistency_score",
     "write_instance",
 ]

@@ -24,6 +24,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import LinearOperator, cg
 
+from . import eig
 from .core import (
     AngleEstimate,
     InvalidInputError,
@@ -33,11 +34,11 @@ from .core import (
     check_seed,
     connected_component_labels,
 )
-from .eig import _estimate, sync_matrix_of
 
 
 @dataclass(frozen=True)
 class LsqrOptions:
+    FLAGS = {"--tol": "tol", "--max-iters": "max_iters"}  # as in `eig.EigOptions`
     tol: float = 1e-10
     max_iters: int | None = None  # None: 20 n
 
@@ -60,7 +61,7 @@ def estimate_lsqr(graph: OffsetGraph, opts: LsqrOptions | None = None, *,
     check_budget(opts.tol, opts.max_iters)
     t0 = time.perf_counter()
     n = graph.n
-    H = sync_matrix_of(graph, H)
+    H = eig.sync_matrix_of(graph, H)
     deg = graph.degrees().astype(np.float64)
     L = (sp.diags(deg) - H.entries).tocsr()
 
@@ -89,9 +90,9 @@ def estimate_lsqr(graph: OffsetGraph, opts: LsqrOptions | None = None, *,
                 if rhs.size else 0.0)
 
     v = z / np.linalg.norm(z)
-    return _estimate("lsqr", t0, z, v, float(np.vdot(v, H.matvec(v)).real), iterations,
-                     residual, info == 0, components=int(ncomp),
-                     disconnected=bool(ncomp > 1))
+    return eig._estimate("lsqr", t0, z, v, float(np.vdot(v, H.matvec(v)).real), iterations,
+                         residual, info == 0, components=int(ncomp),
+                         disconnected=bool(ncomp > 1))
 
 
 RANK_TOLERANCE = 1e-6  # relative singular-value cutoff for theta_rank
@@ -99,6 +100,7 @@ RANK_TOLERANCE = 1e-6  # relative singular-value cutoff for theta_rank
 
 @dataclass(frozen=True)
 class SdpOptions:
+    FLAGS = {"--seed": "seed"}  # as in `eig.EigOptions`
     rank: int | None = None  # None: max(3, ceil(sqrt(2 n)))
     max_iters: int = 2000
     step_tolerance: float = 0.0  # 0: ascend until float-level stagnation
@@ -185,7 +187,7 @@ def estimate_sdp(graph: OffsetGraph, opts: SdpOptions | None = None, *,
     check_seed(opts.seed)
 
     t_start = time.perf_counter()
-    H = sync_matrix_of(graph, H)
+    H = eig.sync_matrix_of(graph, H)
     step0 = 1.0 / max(1.0, float(graph.degrees().max(initial=1)))
     rng = np.random.default_rng(np.random.SeedSequence(opts.seed, spawn_key=(41,)))
 
@@ -207,12 +209,30 @@ def estimate_sdp(graph: OffsetGraph, opts: SdpOptions | None = None, *,
     theta_rank = int(np.count_nonzero(s > RANK_TOLERANCE * s[0]))
     u1 = U[:, 0]
     rel_improve = (trace[-1] - trace[-2]) / max(1.0, abs(trace[-1])) if len(trace) > 1 else 0.0
-    estimate = _estimate("sdp", t_start, u1, u1, float(np.vdot(u1, H.matvec(u1)).real),
-                         steps, float(rel_improve), steps < 2 * opts.max_iters,
-                         objective=f,
-                         objective_traces=[trace1, trace2],  # each ascent separately
-                         singular_values=s.tolist(),
-                         theta_rank=theta_rank,
-                         rank=r,
-                         feasibility_max_dev=feas_dev)
+    estimate = eig._estimate("sdp", t_start, u1, u1, float(np.vdot(u1, H.matvec(u1)).real),
+                             steps, float(rel_improve), steps < 2 * opts.max_iters,
+                             objective=f,
+                             objective_traces=[trace1, trace2],  # each ascent separately
+                             singular_values=s.tolist(),
+                             theta_rank=theta_rank,
+                             rank=r,
+                             feasibility_max_dev=feas_dev)
     return estimate, theta_rank
+
+
+# Each method's options type, in the order the CLI lists the methods.
+METHODS = {"eig": eig.EigOptions, "sdp": SdpOptions, "lsqr": LsqrOptions}
+
+
+def solve(graph: OffsetGraph, method: str, opts=None, *,
+          H: SyncMatrix | None = None) -> AngleEstimate:
+    """`method`'s estimate with `opts` (its `METHODS` type; None: defaults), on
+    the given `H` when there is one.  Each estimator is looked up in its module
+    at call time, so a wrapped or patched `eig.estimate_eig` is the one run."""
+    if method == "eig":
+        return eig.estimate_eig(graph, opts, H=H)
+    if method == "lsqr":
+        return estimate_lsqr(graph, opts, H=H)
+    if method == "sdp":
+        return estimate_sdp(graph, opts, H=H)[0]
+    raise InvalidInputError(f"unknown method {method!r} (choose from {', '.join(METHODS)})")

@@ -31,8 +31,6 @@ from .core import (
 
 SCHEMA_VERSION = 1
 
-METHODS = ("eig", "sdp", "lsqr")
-
 ROW_COLUMNS = ["model", "n", "m", "p", "seed", "method", "rho1", "rho2",
                "lambda1", "objective", "iterations", "wall_ms", "np2",
                "pred_rho2", "pred_lambda1_mu", "pred_p_threshold"]
@@ -118,52 +116,29 @@ def cmd_generate(args) -> int:
 
 
 def _load_truth(instance_path, file_mask):
-    """Planted angles from the sidecar; the good mask from the instance file's
-    flag column, or from the `good_mask` list of a schema-1 sidecar."""
+    """Planted angles from the sidecar, with the instance file's good mask."""
     meta_path = _sidecar_path(instance_path)
     if not meta_path.exists():
         return None
-    meta = json.loads(meta_path.read_text())
-    theta = meta.get("theta")
+    theta = json.loads(meta_path.read_text()).get("theta")
     if theta is None:
         return None
-    mask = meta.get("good_mask", file_mask)
     return GroundTruth(theta=np.asarray(theta, dtype=float),
-                       good_mask=np.asarray([] if mask is None else mask, dtype=bool))
-
-
-# The CLI flags each method takes, and the options field each one sets.  A
-# flag given to a method that does not take it is an error, not dropped.
-_OPTION_FLAGS = {"eig": {"--tol": "tol", "--max-iters": "max_iters", "--shift": "diagonal_shift",
-                         "--seed": "seed"},
-                 "lsqr": {"--tol": "tol", "--max-iters": "max_iters"},
-                 "sdp": {"--seed": "seed"}}
+                       good_mask=np.asarray([] if file_mask is None else file_mask, dtype=bool))
 
 
 def _options(method: str, given: dict, defaults: dict | None = None):
     """`method`'s options from the flags `given` ({flag: value, None if not
-    given}), else from `defaults`, else from the options type's defaults."""
-    taken = _OPTION_FLAGS[method]
+    given}), else from `defaults`, else from the options type's defaults.  A
+    flag that the options type's `FLAGS` does not name is an error, not dropped."""
+    options = baselines.METHODS[method]
     given = {flag: value for flag, value in given.items() if value is not None}
-    unsupported = [flag for flag in given if flag not in taken]
+    unsupported = [flag for flag in given if flag not in options.FLAGS]
     if unsupported:
         raise AngsyncError(f"{' and '.join(unsupported)} not supported by --method {method}")
     values = {**(defaults or {}), **given}
-    fields = {field: values[flag] for flag, field in taken.items() if flag in values}
-    if method == "eig":
-        return eig.EigOptions(**fields)
-    if method == "lsqr":
-        return baselines.LsqrOptions(**fields)
-    return baselines.SdpOptions(**fields)
-
-
-def _solve_one(graph, method: str, opts, H=None):
-    """Run `method` with `opts` on `graph`, on the prebuilt `H` when given."""
-    if method == "eig":
-        return eig.estimate_eig(graph, opts, H=H)
-    if method == "lsqr":
-        return baselines.estimate_lsqr(graph, opts, H=H)
-    return baselines.estimate_sdp(graph, opts, H=H)[0]
+    return options(**{field: values[flag] for flag, field in options.FLAGS.items()
+                      if flag in values})
 
 
 def cmd_solve(args) -> int:
@@ -173,7 +148,7 @@ def cmd_solve(args) -> int:
     graph, mask = _read_instance(path)
     truth = _load_truth(path, mask)
 
-    est = _solve_one(graph, args.method, opts)
+    est = baselines.solve(graph, args.method, opts)
     converged = est.diagnostics["converged"]
     objective = baselines.sdp_objective(graph, est.theta_hat)
 
@@ -209,7 +184,7 @@ def _sweep_task(task):
     H = eig.build_sync_matrix(graph)
     rows = []
     for method, opts in solvers:
-        est = _solve_one(graph, method, opts, H=H)
+        est = baselines.solve(graph, method, opts, H=H)
         wall_ms = 0.0 if deterministic else est.diagnostics["wall_ms"]
         report = evaluate(graph, truth, est)
         rows.append({
@@ -233,9 +208,10 @@ def cmd_sweep(args) -> int:
     if not methods:
         raise AngsyncError("no methods given")
     for k, method in enumerate(methods):
-        if method not in METHODS or method in methods[:k]:
-            what = "repeated" if method in METHODS else "unknown"
-            raise AngsyncError(f"{what} method {method!r} (choose from {', '.join(METHODS)})")
+        if method not in baselines.METHODS or method in methods[:k]:
+            what = "repeated" if method in baselines.METHODS else "unknown"
+            raise AngsyncError(f"{what} method {method!r} "
+                               f"(choose from {', '.join(baselines.METHODS)})")
     if args.trials < 1:
         raise AngsyncError("need trials >= 1")
     if args.workers < 1:
@@ -348,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     slv = sub.add_parser("solve", help="run one solver on an instance file")
     slv.add_argument("instance")
-    slv.add_argument("--method", choices=METHODS, default="eig")
+    slv.add_argument("--method", choices=baselines.METHODS, default="eig")
     slv.add_argument("--tol", type=float, default=None,
                      help="convergence tolerance (eig, lsqr; default 1e-10)")
     slv.add_argument("--max-iters", type=int, default=None,

@@ -195,6 +195,8 @@ def _estimate(method_tag: str, t0: float, z, v, top_eigval: float, iterations: i
 
 @dataclass(frozen=True)
 class EigOptions:
+    FLAGS = {"--tol": "tol", "--max-iters": "max_iters", "--shift": "diagonal_shift",
+             "--seed": "seed"}  # the CLI flags it takes and the field each one sets
     tol: float = 1e-10
     max_iters: int | None = None  # None: 10 n ln n
     diagonal_shift: float = 0.0

@@ -1,15 +1,19 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import cg
 
 from angsync.baselines import (
+    METHODS,
     LsqrOptions,
     SdpOptions,
     default_sdp_rank,
     estimate_lsqr,
     estimate_sdp,
     sdp_objective,
+    solve,
 )
 from angsync.core import (
     TWO_PI,
@@ -126,6 +130,43 @@ def test_diagnostics_contract(method):
     assert list(est.diagnostics) == DIAGNOSTIC_KEYS[method]
     assert type(est.diagnostics["converged"]) is bool
     assert est.diagnostics["wall_ms"] >= 0.0
+
+
+class TestSolve:
+    """`solve` runs the named method's estimator; SDP's estimate comes unpaired."""
+
+    ESTIMATORS = {"eig": estimate_eig, "lsqr": estimate_lsqr,
+                  "sdp": lambda *args, **kwargs: estimate_sdp(*args, **kwargs)[0]}
+
+    @pytest.mark.parametrize("method", list(METHODS))
+    def test_same_estimate_as_the_estimator(self, method):
+        graph, _ = gen_complete(CompleteModelParams(n=20, p=0.5, seed=8))
+        opts = METHODS[method]()
+        for H in (None, build_sync_matrix(graph)):
+            ours = solve(graph, method, opts, H=H)
+            theirs = self.ESTIMATORS[method](graph, opts, H=H)
+            assert ours.method_tag == method
+            np.testing.assert_array_equal(ours.theta_hat, theirs.theta_hat)
+            np.testing.assert_array_equal(ours.eigvec, theirs.eigvec)
+            assert (ours.top_eigval, ours.iterations) == (theirs.top_eigval, theirs.iterations)
+
+    def test_methods_in_cli_order(self):
+        assert list(METHODS) == ["eig", "sdp", "lsqr"]
+
+    def test_flags_are_not_fields(self):
+        fields = {name: [f.name for f in dataclasses.fields(opts)]
+                  for name, opts in METHODS.items()}
+        assert fields == {"eig": ["tol", "max_iters", "diagonal_shift", "seed"],
+                          "sdp": ["rank", "max_iters", "step_tolerance", "seed"],
+                          "lsqr": ["tol", "max_iters"]}
+        for name, opts in METHODS.items():
+            assert set(opts.FLAGS.values()) <= set(fields[name])
+
+    def test_unknown_method_rejected(self):
+        graph, _ = gen_complete(CompleteModelParams(n=6, p=1.0, seed=1))
+        with pytest.raises(InvalidInputError, match="unknown method 'power' "
+                                                    r"\(choose from eig, sdp, lsqr\)"):
+            solve(graph, "power")
 
 
 def _per_component_lsqr(graph, opts=None):

@@ -31,8 +31,9 @@ class TestGenerate:
         assert meta["schema_version"] == 2
         assert "good_mask" not in meta
 
-    def test_schema_1_sidecar_mask_still_read(self, tmp_path, capsys):
-        # an instance file without flags, next to a sidecar that lists the mask
+    def test_schema_1_sidecar_gives_same_correlation_line(self, tmp_path, capsys):
+        # an instance file without flags, next to a sidecar that lists the mask:
+        # the scores come from the sidecar's angles alone
         out = tmp_path / "inst.txt"
         run(["generate", "--model", "complete", "--n", "30", "--p", "0.5",
              "--seed", "6", "--out", str(out)])
@@ -242,13 +243,13 @@ class TestSeedRule:
         run(["generate", "--model", "complete", "--n", "8", "--p", "1",
              "--seed", "2", "--out", str(out)])
         seeds = []
-        solve_one = cli._solve_one
+        solve = baselines.solve
 
-        def recording(graph, method, opts, H=None):
+        def recording(graph, method, opts=None, *, H=None):
             seeds.append(opts.seed)
-            return solve_one(graph, method, opts, H)
+            return solve(graph, method, opts, H=H)
 
-        monkeypatch.setattr(cli, "_solve_one", recording)
+        monkeypatch.setattr(baselines, "solve", recording)
         for given in ([], ["--seed", "0"], ["--seed", "7"]):
             assert run(["solve", str(out), "--method", method, *given]) == 0
         assert seeds == [0, 0, 7]
@@ -268,12 +269,16 @@ class TestSeedRule:
 
 
 def timed_123(monkeypatch, module, name):
-    """Make `module.name` return estimates whose own timer reads 123 ms."""
+    """Make `module.name` return estimates whose own timer reads 123 ms (for
+    `estimate_sdp`, the estimate of its (estimate, rank) pair)."""
     estimate = getattr(module, name)
+
+    def stamp(est):
+        return dataclasses.replace(est, diagnostics={**est.diagnostics, "wall_ms": 123.0})
 
     def stamped(*args, **kwargs):
         est = estimate(*args, **kwargs)
-        return dataclasses.replace(est, diagnostics={**est.diagnostics, "wall_ms": 123.0})
+        return (stamp(est[0]), *est[1:]) if isinstance(est, tuple) else stamp(est)
 
     monkeypatch.setattr(module, name, stamped)
 
@@ -298,6 +303,28 @@ class TestWallMs:
         rows = {row["method"]: row for row in read_csv(out)}
         assert float(rows["eig"]["wall_ms"]) == 123.0
         assert float(rows["lsqr"]["wall_ms"]) != 123.0
+
+    @pytest.mark.parametrize("method, module, name", [
+        ("eig", eig, "estimate_eig"),
+        ("lsqr", baselines, "estimate_lsqr"),
+        ("sdp", baselines, "estimate_sdp"),
+    ])
+    def test_dispatch_reaches_estimator_through_its_module(self, tmp_path, capsys, monkeypatch,
+                                                           method, module, name):
+        # `solve` looks each estimator up at call time, so a patched (or traced)
+        # module attribute is what runs, under solve and sweep alike
+        out = tmp_path / "inst.txt"
+        run(["generate", "--model", "complete", "--n", "8", "--p", "1",
+             "--seed", "2", "--out", str(out)])
+        timed_123(monkeypatch, module, name)
+        capsys.readouterr()
+        assert run(["solve", str(out), "--method", method]) == 0
+        assert " wall_ms=123.0 " in capsys.readouterr().out
+        sweep = tmp_path / "sw.csv"
+        assert run(["sweep", "--n", "10", "--p", "0.9", "--trials", "1",
+                    "--method", "eig,sdp,lsqr", "--out", str(sweep)]) == 0
+        stamped = [row["method"] for row in read_csv(sweep) if float(row["wall_ms"]) == 123.0]
+        assert stamped == [method]
 
 
 def read_csv(path):

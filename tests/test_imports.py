@@ -1,8 +1,11 @@
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
 
 import angsync
+
+_TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
 def test_import_loads_no_scipy_spatial():
@@ -14,3 +17,15 @@ def test_import_loads_no_scipy_spatial():
     out = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_every_perfbench_hook_point_resolves():
+    # the benchmark wraps these functions by their module paths, so a refactor
+    # that moves or renames one must fail here, not only in the benchmark
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", _TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert len(tracer.TARGETS) == 19
+    for _span, module_name, attr in tracer.TARGETS:
+        owner, leaf = tracer._resolve(module_name, attr)
+        assert callable(getattr(owner, leaf, None)), f"{module_name}.{attr}"
