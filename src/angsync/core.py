@@ -16,6 +16,7 @@ the same IEEE operations in the same order, so every result keeps its bits.
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -442,8 +443,13 @@ def connected_component_labels(graph: OffsetGraph):
     """(component count, per-vertex labels) of the measurement graph.
 
     One CSR of the stored i -> j edges (m entries) suffices:
-    `connected_components(directed=False)` follows each entry both ways."""
-    edges = sp.csr_matrix((np.ones(graph.m), (graph.i, graph.j)), shape=(graph.n, graph.n))
+    `connected_components(directed=False)` follows each entry both ways.
+    A graph with m = n(n - 1)/2 holds every pair (OffsetGraph forbids a
+    repeated one), so it is one component and skips the search."""
+    n = graph.n
+    if 2 * graph.m == n * (n - 1):
+        return 1, np.zeros(n, dtype=np.int32)
+    edges = sp.csr_matrix((np.ones(graph.m), (graph.i, graph.j)), shape=(n, n))
     return _cc(edges, directed=False)
 
 
@@ -613,6 +619,22 @@ def write_instance(path, graph: OffsetGraph, good_mask=None) -> None:
             f.write(rows[rows != 0].tobytes())
 
 
+# A plain file holds only ASCII, no '#' and none of the line breaks that
+# str.splitlines knows besides \r and \n (the others, \x85, \u2028 and
+# \u2029, are not ASCII), and its name has no suffix that makes numpy's
+# loadtxt decompress it.
+_NOT_PLAIN = (b"#", b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e")
+_COMPRESSED = (".bz2", ".gz", ".lzma", ".xz")
+
+
+def _data_lines(lines):
+    """(index, line) of the first two data lines of `lines`, each None if
+    absent: lines that are neither blank nor whole-line comments."""
+    data = ((k, raw) for k, raw in enumerate(lines)
+            if raw.strip() and not raw.lstrip().startswith("#"))
+    return next(data, None), next(data, None)
+
+
 def read_instance(path):
     """Read an instance file. Returns (OffsetGraph, good_mask or None).
 
@@ -622,6 +644,15 @@ def read_instance(path):
     m edge rows "i j delta", or "i j delta g" with g in {0, 1}, all of one
     width.  The good mask is None for 3-column rows and for m = 0.
 
+    The bytes are read once.  A plain regular file (ASCII, no '#', no line
+    break but \n, \r\n and \r, no compressed suffix; every file
+    write_instance makes) is scanned from them up to its first edge row,
+    and np.loadtxt then parses it from its path with numpy's chunked C
+    reader, so its text is never held as a list of lines.  Any other file,
+    a pipe too, is decoded from those bytes, split with str.splitlines,
+    stripped of comment lines and handed to the same loadtxt call as that
+    list.  Both routes give the same arrays and raise the same errors.
+
     Raises InvalidInputError for: no header or a header without exactly two
     tokens ("missing 'n m' header"); non-integer n or m ("bad header"); rows
     not uniformly 3 or 4 columns wide; a token that does not parse as its
@@ -629,12 +660,21 @@ def read_instance(path):
     outside {0, 1}; a row count other than m; and anything OffsetGraph
     rejects (index order, duplicate pairs, non-finite delta).
     """
-    text = Path(path).read_text()
-    lines = text.splitlines()
-    data = (k for k, raw in enumerate(lines)
-            if raw.strip() and not raw.lstrip().startswith("#"))
-    head = next(data, None)
-    header = lines[head].split() if head is not None else []
+    data = Path(path).read_bytes()
+    plain = (Path(path).is_file() and Path(path).suffix not in _COMPRESSED
+             and data.isascii() and not any(c in data for c in _NOT_PLAIN))
+    # the bytes in hand are decoded as read_text would: locale encoding and
+    # universal newlines, which number a plain file's lines as
+    # str.splitlines does; a pipe is read only once
+    text = io.TextIOWrapper(io.BytesIO(data))
+    del data
+    if plain:
+        head, first = _data_lines(text)
+    else:
+        lines = text.read().splitlines()
+        head, first = _data_lines(lines)
+    del text
+    header = head[1].split() if head is not None else []
     if len(header) != 2:
         raise InvalidInputError(f"{path}: missing 'n m' header")
     try:
@@ -643,20 +683,22 @@ def read_instance(path):
         raise InvalidInputError(f"{path}: bad header {header!r}") from exc
 
     bad_width = f"{path}: edge rows must uniformly have 3 or 4 columns"
-    first = next(data, None)
     if first is None:
         width, edges = 3, np.zeros(0, dtype=_EDGE_FIELDS[:3])
     else:
         # the first edge row's width picks the dtype; loadtxt rejects any
         # other width and, with comments=None, any trailing '#'
-        width = len(lines[first].split())
+        width = len(first[1].split())
         if width not in (3, 4):
             raise InvalidInputError(bad_width)
-        rows = lines[first:]
-        if "#" in text:  # files from write_instance have none; skip the scan
-            rows = [r for r in rows if not r.lstrip().startswith("#")]
+        if plain:
+            rows, skip = str(Path(path)), first[0]
+        else:
+            rows = [r for r in lines[first[0]:] if not r.lstrip().startswith("#")]
+            skip = 0
         try:
-            edges = np.loadtxt(rows, dtype=_EDGE_FIELDS[:width], comments=None, ndmin=1)
+            edges = np.loadtxt(rows, dtype=_EDGE_FIELDS[:width], comments=None, ndmin=1,
+                               skiprows=skip)
         except ValueError as exc:
             if "columns" in str(exc):
                 raise InvalidInputError(bad_width) from exc

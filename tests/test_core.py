@@ -1,5 +1,7 @@
 import dataclasses
 import hashlib
+import os
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -595,6 +597,75 @@ def test_component_labels_match_symmetric_build(graph):
     assert np.array_equal(labels, ref_labels)
 
 
+def _complete_graph(n):
+    i, j = np.triu_indices(n, 1)
+    return OffsetGraph(n=n, i=i, j=j, delta=np.zeros(i.size))
+
+
+def _counting_search(monkeypatch):
+    """Count the calls connected_component_labels makes to scipy."""
+    calls = []
+    search = angsync.core._cc
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(angsync.core, "_cc", counting)
+    return calls
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 400])
+def test_complete_graph_skips_component_search(n, monkeypatch):
+    graph = _complete_graph(n)
+    ref_count, ref_labels = _symmetric_component_labels(graph)
+    calls = _counting_search(monkeypatch)
+    count, labels = connected_component_labels(graph)
+    assert not calls
+    assert count == ref_count == 1 and type(count) is type(ref_count)
+    assert labels.dtype == ref_labels.dtype and np.array_equal(labels, ref_labels)
+    assert is_connected(graph)
+
+
+@pytest.mark.parametrize("n", [3, 400])
+def test_complete_graph_missing_an_edge_is_searched(n, monkeypatch):
+    full = _complete_graph(n)
+    graph = OffsetGraph(n=n, i=full.i[1:], j=full.j[1:], delta=full.delta[1:])
+    ref_count, ref_labels = _symmetric_component_labels(graph)
+    calls = _counting_search(monkeypatch)
+    count, labels = connected_component_labels(graph)
+    assert len(calls) == 1
+    assert count == ref_count == 1 and np.array_equal(labels, ref_labels)
+
+
+def _read_recording_source(path, monkeypatch):
+    """read_instance(path), and what it handed np.loadtxt to parse."""
+    sources = []
+    loadtxt = np.loadtxt
+
+    def recording(fname, *args, **kwargs):
+        sources.append(fname)
+        return loadtxt(fname, *args, **kwargs)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(np, "loadtxt", recording)
+        result = read_instance(path)
+    return result, sources
+
+
+def _line_list_reference(text):
+    """The edge rows of an instance text as loadtxt parses its line list
+    from the first edge row on (files without comments)."""
+    lines = text.splitlines()
+    data = [k for k, line in enumerate(lines) if line.strip()]
+    if len(data) < 2:
+        return None
+    first = data[1]
+    width = len(lines[first].split())
+    return np.loadtxt(lines[first:], dtype=angsync.core._EDGE_FIELDS[:width], comments=None,
+                      ndmin=1)
+
+
 class TestInstanceFile:
     def test_roundtrip_exact(self, tmp_path):
         graph, truth = gen_complete(CompleteModelParams(n=9, p=0.5, seed=21))
@@ -723,6 +794,113 @@ class TestInstanceFile:
         path.write_text(f"3 2\n0 1 0.5\n0 2 {token}\n")
         with pytest.raises(InvalidInputError, match="finite"):
             read_instance(path)
+
+    @pytest.mark.parametrize("text", [
+        "\n  \n\n3 3\n\n0 1 0.5\n   \n\n0 2 0.25\n\n1 2 1.5\n\n",
+        "3 2\r\n0 1 0.5 1\r\n\r\n0 2 0.25 0\r\n",
+        "\r3 2\r0 1 0.5\r\r0 2 0.25\r",
+        "3 2\n\r\n0 1 0.5 0\r\r\n\n0 2 0.25 1",
+        "3 2\n0 1 0.5\n0 2 0.25",
+        "3 2\n0\t1 0.5\x1f\n0 2\t0.25\n",
+        "3 0\n",
+        "\n3 0\n\n\n",
+    ], ids=["blank-lines", "crlf", "lone-cr", "mixed-endings", "no-final-newline",
+            "other-whitespace", "empty", "empty-blank-lines"])
+    def test_plain_file_parsed_from_path_like_line_list(self, tmp_path, monkeypatch, text):
+        path = tmp_path / "inst.txt"
+        path.write_bytes(text.encode())
+        (graph, mask), sources = _read_recording_source(path, monkeypatch)
+        want = _line_list_reference(text)
+        if want is None:
+            assert graph.m == 0 and mask is None and sources == []
+            return
+        assert sources == [str(path)]
+        assert graph.i.tobytes() == want["i"].tobytes()
+        assert graph.j.tobytes() == want["j"].tobytes()
+        assert graph.delta.tobytes() == want["delta"].tobytes()
+        if "good" in want.dtype.names:
+            assert np.array_equal(mask, want["good"].astype(bool))
+        else:
+            assert mask is None
+        # a compressed suffix makes numpy decompress a path; such a file is
+        # read as text and gives the same arrays
+        other = tmp_path / "inst.txt.gz"
+        other.write_bytes(text.encode())
+        (back, back_mask), sources = _read_recording_source(other, monkeypatch)
+        assert isinstance(sources[0], list)
+        assert back.delta.tobytes() == graph.delta.tobytes()
+        assert back.i.tobytes() == graph.i.tobytes() and back.j.tobytes() == graph.j.tobytes()
+        assert (back_mask is None) == (mask is None)
+
+    def test_written_files_are_plain(self, tmp_path, monkeypatch):
+        graph, truth = gen_complete(CompleteModelParams(n=30, p=0.5, seed=2))
+        path = tmp_path / "inst.txt"
+        for good in (truth.good_mask, None):
+            write_instance(path, graph, good_mask=good)
+            (back, _), sources = _read_recording_source(path, monkeypatch)
+            assert sources == [str(path)]
+            assert back.delta.tobytes() == graph.delta.tobytes()
+
+    # '\x0b', '\x0c', '\x1d' and '\u2028' end a line for str.splitlines but
+    # are whitespace inside a row for loadtxt, so such files are read as a
+    # line list; the expected outcomes are those of the line-list reader.
+    @pytest.mark.parametrize("text, want", [
+        ("3 2\n0 1 0.5\x0c0 2 0.25\n", ([0, 0], [1, 2], [0.5, 0.25], None)),
+        ("3 2\n0 1 0.5\x0b0 2 0.25\n", ([0, 0], [1, 2], [0.5, 0.25], None)),
+        ("3 2\n0 1 0.5\u20280 2 0.25\n", ([0, 0], [1, 2], [0.5, 0.25], None)),
+        ("\x0c3 1\n\u2028\n0 1 0.5 1\x0b", ([0], [1], [0.5], [True])),
+        ("3 1\n0 1\x0c0.5\n", "3 or 4 columns"),
+        ("3 1\n0 1\x0b0.5\n", "3 or 4 columns"),
+        ("3 1\n0 1\u20280.5\n", "3 or 4 columns"),
+        ("3 1\n0 1 0.5\x1d1\n", "3 or 4 columns"),
+    ])
+    def test_other_line_breaks_split_rows(self, tmp_path, monkeypatch, text, want):
+        path = tmp_path / "inst.txt"
+        path.write_bytes(text.encode())
+        if isinstance(want, str):
+            with pytest.raises(InvalidInputError, match=want):
+                read_instance(path)
+            return
+        (graph, mask), sources = _read_recording_source(path, monkeypatch)
+        assert isinstance(sources[0], list)
+        i, j, delta, good = want
+        assert graph.i.tolist() == i and graph.j.tolist() == j and graph.delta.tolist() == delta
+        assert (mask is None and good is None) or mask.tolist() == good
+
+    @pytest.mark.skipif(not Path("/dev/fd").is_dir(), reason="no /dev/fd")
+    def test_pipe_is_read_once(self, tmp_path, monkeypatch):
+        # a pipe cannot be reopened: its bytes are read once and parsed as a
+        # line list, giving what the regular file gives
+        graph, truth = gen_complete(CompleteModelParams(n=20, p=0.5, seed=5))
+        path = tmp_path / "inst.txt"
+        write_instance(path, graph, good_mask=truth.good_mask)
+        want, want_mask = read_instance(path)
+        r, w = os.pipe()
+        try:
+            with os.fdopen(w, "wb") as f:  # well under a pipe's buffer
+                f.write(path.read_bytes())
+            (back, mask), sources = _read_recording_source(f"/dev/fd/{r}", monkeypatch)
+        finally:
+            os.close(r)
+        assert isinstance(sources[0], list)
+        assert back.delta.tobytes() == want.delta.tobytes()
+        assert back.i.tobytes() == want.i.tobytes() and back.j.tobytes() == want.j.tobytes()
+        assert np.array_equal(mask, want_mask)
+
+    def test_read_holds_no_line_list(self, tmp_path):
+        # complete n=400 (m = 79,800, a 2.28 MB file): reading it from its
+        # path peaks at about 2.3x the file size; decoding it and splitting
+        # it into a list of lines peaked at about 6.6x
+        graph, truth = gen_complete(CompleteModelParams(n=400, p=0.5, seed=1))
+        path = tmp_path / "inst.txt"
+        write_instance(path, graph, good_mask=truth.good_mask)
+        tracemalloc.start()
+        try:
+            read_instance(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * path.stat().st_size
 
 
 def _reference_write(path, graph, good_mask=None):
