@@ -62,8 +62,8 @@ def estimate_lsqr(graph: OffsetGraph, opts: LsqrOptions | None = None, *,
     t0 = time.perf_counter()
     n = graph.n
     H = eig.sync_matrix_of(graph, H)
-    deg = graph.degrees().astype(np.float64)
-    L = (sp.diags(deg) - H.entries).tocsr()
+    # H stores exactly the graph's 2m edge entries, so its row counts are the degrees
+    L = (sp.diags(np.diff(H.entries.indptr).astype(np.float64)) - H.entries).tocsr()
 
     ncomp, labels = connected_component_labels(graph)
     anchors = np.unique(labels, return_index=True)[1]
@@ -135,45 +135,41 @@ def _normalize_rows(V):
     return V / norms
 
 
-def _ascend(H, V, t0, max_iters, step_tol):
-    """Projected gradient ascent with backtracking; objective never decreases."""
+def _ascend(H, V, t, max_iters, step_tol):
+    """Projected gradient ascent with backtracking; objective never decreases.
+
+    Returns the last accepted factor and the objective trace: its start value,
+    then one value per accepted step."""
     W = H.matmat(V)
-    f = float(np.vdot(V, W).real)
-    trace = [f]
-    t = t0
-    feas_dev = 0.0
-    last_improve = np.inf
-    steps = 0
+    trace = [float(np.vdot(V, W).real)]
     for _ in range(max_iters):
-        accepted = False
-        tt = t
         for _ in range(60):
-            Vn = _normalize_rows(V + tt * W)
+            Vn = _normalize_rows(V + t * W)
             Wn = H.matmat(Vn)
             fn = float(np.vdot(Vn, Wn).real)
-            if fn >= f:
-                accepted = True
+            if fn >= trace[-1]:
                 break
-            tt *= 0.5
-        if not accepted:
+            t *= 0.5
+        else:
             break
-        feas_dev = max(feas_dev,
-                       float(np.abs(np.linalg.norm(Vn, axis=1) - 1.0).max()))
-        last_improve = fn - f
-        V, W, f = Vn, Wn, fn
-        trace.append(f)
-        steps += 1
-        t = min(tt * 1.5, 1e6)
-        if last_improve <= step_tol * max(1.0, abs(f)):
+        V, W = Vn, Wn
+        trace.append(fn)
+        t = min(t * 1.5, 1e6)
+        if trace[-1] - trace[-2] <= step_tol * max(1.0, abs(fn)):
             break
-    return V, f, trace, steps, feas_dev
+    return V, trace
 
 
 def estimate_sdp(graph: OffsetGraph, opts: SdpOptions | None = None, *,
                  H: SyncMatrix | None = None):
     """Low-rank SDP relaxation; returns (AngleEstimate, theta_rank).
 
-    theta_rank counts singular values of the factor V above
+    The better of two ascents (the second from a perturbed copy of the
+    first one's factor) is kept.  `iterations` is the accepted steps of both;
+    `residual` is the kept ascent's last relative improvement; `converged` is
+    true unless both spent `max_iters` (no optimality certificate);
+    `feasibility_max_dev` is measured on the two factors they return.
+    theta_rank counts singular values of the kept factor V above
     RANK_TOLERANCE * largest, i.e. the numerical rank of Theta = VV*.  The
     ascent runs on the given `H` (see `eig.sync_matrix_of`) when there is one.
     """
@@ -182,28 +178,26 @@ def estimate_sdp(graph: OffsetGraph, opts: SdpOptions | None = None, *,
     r = opts.rank if opts.rank is not None else default_sdp_rank(n)
     if not 1 <= r <= n:
         raise InvalidInputError(f"rank must lie in [1, {n}], got {r}")
-    if opts.max_iters < 1 or not 0 <= opts.step_tolerance < math.inf:
-        raise InvalidInputError("bad solver options")
+    if opts.max_iters < 1:
+        raise InvalidInputError("max_iters must be >= 1")
+    if not 0 <= opts.step_tolerance < math.inf:
+        raise InvalidInputError("step_tolerance must be finite and >= 0")
     check_seed(opts.seed)
 
     t_start = time.perf_counter()
     H = eig.sync_matrix_of(graph, H)
-    step0 = 1.0 / max(1.0, float(graph.degrees().max(initial=1)))
+    step0 = 1.0 / float(np.diff(H.entries.indptr).max(initial=1))  # 1 / the top degree
     rng = np.random.default_rng(np.random.SeedSequence(opts.seed, spawn_key=(41,)))
 
     V0 = _normalize_rows(rng.normal(size=(n, r)) + 1j * rng.normal(size=(n, r)))
-    V1, f1, trace1, steps1, dev1 = _ascend(H, V0, step0, opts.max_iters,
-                                           opts.step_tolerance)
+    V1, trace1 = _ascend(H, V0, step0, opts.max_iters, opts.step_tolerance)
     # One perturbed restart to escape a poor stationary point; keep the better.
     noise = _normalize_rows(rng.normal(size=(n, r)) + 1j * rng.normal(size=(n, r)))
-    V2, f2, trace2, steps2, dev2 = _ascend(H, _normalize_rows(V1 + 0.1 * noise),
-                                           step0, opts.max_iters, opts.step_tolerance)
-    if f2 > f1:
-        V, f, trace = V2, f2, trace2
-    else:
-        V, f, trace = V1, f1, trace1
-    steps = steps1 + steps2
-    feas_dev = max(dev1, dev2)
+    V2, trace2 = _ascend(H, _normalize_rows(V1 + 0.1 * noise), step0, opts.max_iters,
+                         opts.step_tolerance)
+    V, trace = (V2, trace2) if trace2[-1] > trace1[-1] else (V1, trace1)
+    steps = len(trace1) + len(trace2) - 2
+    feas_dev = max(float(np.abs(np.linalg.norm(X, axis=1) - 1.0).max()) for X in (V1, V2))
 
     U, s, _ = np.linalg.svd(V, full_matrices=False)
     theta_rank = int(np.count_nonzero(s > RANK_TOLERANCE * s[0]))
@@ -211,7 +205,7 @@ def estimate_sdp(graph: OffsetGraph, opts: SdpOptions | None = None, *,
     rel_improve = (trace[-1] - trace[-2]) / max(1.0, abs(trace[-1])) if len(trace) > 1 else 0.0
     estimate = eig._estimate("sdp", t_start, u1, u1, float(np.vdot(u1, H.matvec(u1)).real),
                              steps, float(rel_improve), steps < 2 * opts.max_iters,
-                             objective=f,
+                             objective=trace[-1],
                              objective_traces=[trace1, trace2],  # each ascent separately
                              singular_values=s.tolist(),
                              theta_rank=theta_rank,

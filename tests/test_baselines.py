@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -331,16 +332,49 @@ class TestSdp:
             estimate_sdp(graph, SdpOptions(rank=0))
         with pytest.raises(InvalidInputError):
             estimate_sdp(graph, SdpOptions(rank=11))
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError, match="max_iters must be >= 1"):
             estimate_sdp(graph, SdpOptions(max_iters=0))
         for bad in (-1.0, np.nan, np.inf):
-            with pytest.raises(InvalidInputError):
+            with pytest.raises(InvalidInputError, match="step_tolerance must be finite and >= 0"):
                 estimate_sdp(graph, SdpOptions(step_tolerance=bad))
 
     def test_default_rank(self):
         assert default_sdp_rank(200) == 20
         assert default_sdp_rank(4) == 3
         assert default_sdp_rank(2) == 2
+
+
+def sdp_digest(est, theta_rank):
+    """SHA-256 over the SDP outputs that must not move: the reported vector,
+    both objective traces, the singular values of V, the step count, the
+    convergence flag, the residual and theta_rank."""
+    h = hashlib.sha256()
+    h.update(est.eigvec.tobytes())
+    for trace in est.diagnostics["objective_traces"]:
+        h.update(np.asarray(trace, dtype=np.float64).tobytes())
+    h.update(np.asarray(est.diagnostics["singular_values"], dtype=np.float64).tobytes())
+    h.update(f"{est.iterations} {est.diagnostics['converged']} {est.residual!r} "
+             f"{theta_rank}".encode())
+    return h.hexdigest()
+
+
+class TestSdpPinned:
+    # Recorded before the ascent loop lost its counters.  At n <= 80 every
+    # reduction gives the same bits at 1 and 2 BLAS threads.
+    @pytest.mark.parametrize("gen,params,opts,digest", [
+        (gen_complete, CompleteModelParams(n=60, p=0.3, seed=17), SdpOptions(seed=5),
+         "b6a976c3a1b78c9e3f6136e5889e1d8ccbc854c055b9e8eaf7dc13377293bc4e"),
+        (gen_small_world, SmallWorldParams(n=80, epsilon=0.3, p=0.5, seed=18),
+         SdpOptions(seed=5, max_iters=300),  # both ascents spend the budget
+         "b07053693eec8cd118428f19a3aa16288e98284bc328a131ff8bacfd40f3fc51"),
+        (gen_small_world, SmallWorldParams(n=80, epsilon=0.3, p=0.5, seed=18),
+         SdpOptions(seed=5, step_tolerance=1e-10),
+         "6aa76269da41f26c2188855eff489c4657998bc9e3f8dc711dcbb1a22d0eb2e7"),
+    ], ids=["complete-60", "small-world-80-budget", "small-world-80-step-tol"])
+    def test_digest(self, gen, params, opts, digest):
+        graph, _ = gen(params)
+        est, theta_rank = estimate_sdp(graph, opts)
+        assert sdp_digest(est, theta_rank) == digest
 
 
 class TestSdpObjective:

@@ -126,6 +126,20 @@ class TestSolve:
         assert "rho1" not in text
         assert "lambda1" in text
 
+    def test_sidecar_without_theta_no_correlations(self, tmp_path, capsys):
+        out = tmp_path / "inst.txt"
+        run(["generate", "--model", "complete", "--n", "8", "--p", "1",
+             "--seed", "2", "--out", str(out)])
+        meta_path = tmp_path / "inst.txt.meta.json"
+        meta = json.loads(meta_path.read_text())
+        del meta["theta"]
+        meta_path.write_text(json.dumps(meta))
+        capsys.readouterr()
+        assert run(["solve", str(out)]) == 0
+        text = capsys.readouterr().out
+        assert "rho1" not in text
+        assert "lambda1" in text
+
     def test_strict_nonconvergence_exits_3(self, tmp_path, capsys):
         out = tmp_path / "inst.txt"
         run(["generate", "--model", "complete", "--n", "40", "--p", "0.5",
@@ -342,6 +356,28 @@ class TestSweep:
         assert len(rows) == 1
         assert rows[0]["method"] == "eig"
         assert float(rows[0]["rho1"]) > 0.9
+
+    def test_small_world_rows_and_predictions(self, tmp_path):
+        # np2 and the threshold use the instance's edge count; the complete
+        # graph's rho2 and lambda1 predictors have no small-world value
+        out = tmp_path / "sw.csv"
+        assert run(["sweep", "--model", "small-world", "--n", "60", "--epsilon", "0.4",
+                    "--p", "1.0,0.5", "--trials", "2", "--seed", "3",
+                    "--method", "eig,lsqr", "--deterministic", "--out", str(out)]) == 0
+        rows = read_csv(out)
+        assert len(rows) == 8  # 2 p values x 2 trials x 2 methods
+        for row in rows:
+            n, p, seed = int(row["n"]), float(row["p"]), int(row["seed"])
+            graph, _ = generators.gen_small_world(
+                generators.SmallWorldParams(n=n, epsilon=0.4, p=p, seed=seed))
+            m = graph.m
+            assert row["model"] == "small-world" and int(row["m"]) == m
+            assert float(row["np2"]) == 2.0 * m * p * p / n
+            assert float(row["pred_p_threshold"]) == float(np.sqrt(n / (2.0 * m)))
+            assert row["pred_rho2"] == row["pred_lambda1_mu"] == ""
+            if p == 1.0:
+                assert float(row["rho1"]) > 0.999
+        assert len(read_csv(tmp_path / "sw.agg.csv")) == 4
 
     def test_empty_grid_exits_2(self, tmp_path, capsys):
         code = run(["sweep", "--model", "complete", "--n", "10", "--p", ",",

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import os
+import re
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -22,6 +23,7 @@ from angsync.core import (
     GroundTruth,
     InvalidInputError,
     OffsetGraph,
+    SyncMatrix,
     _format_17g,
     _mod2pi,
     align_global_phase,
@@ -216,6 +218,36 @@ class TestGroundTruth:
         g = OffsetGraph(n=2, i=[0], j=[1], delta=[1.0])
         with pytest.raises(InvalidInputError):
             GroundTruth(theta=[0.0], good_mask=[False]).validate_against(g)
+
+
+def _sync_matrix(a):
+    return SyncMatrix(n=2, entries=sp.csr_matrix(np.array(a, dtype=np.complex128)))
+
+
+@pytest.mark.parametrize("build, message", [
+    pytest.param(lambda: OffsetGraph(n=0, i=[], j=[], delta=[]),
+                 "need n >= 1, got 0", id="graph-n-below-1"),
+    pytest.param(lambda: OffsetGraph(n=3, i=[[0]], j=[[1]], delta=[[0.5]]),
+                 "i, j, delta must be 1-d arrays of equal length", id="graph-not-1d"),
+    pytest.param(lambda: OffsetGraph(n=3, i=[0, 0], j=[1], delta=[0.5, 0.5]),
+                 "i, j, delta must be 1-d arrays of equal length", id="graph-unequal-lengths"),
+    pytest.param(lambda: GroundTruth(theta=[[0.0, 1.0]], good_mask=[True]),
+                 "theta and good_mask must be 1-d", id="truth-not-1d"),
+    pytest.param(lambda: GroundTruth(theta=[0.0, 1.0], good_mask=[True, False]).validate_against(
+                     OffsetGraph(n=2, i=[0], j=[1], delta=[1.0])),
+                 "good_mask length != m", id="truth-mask-length"),
+    pytest.param(lambda: SyncMatrix(n=3, entries=sp.csr_matrix((2, 2))).validate(),
+                 "entries shape mismatch", id="sync-shape"),
+    pytest.param(lambda: _sync_matrix([[0, 0.5], [0.5, 0]]).validate(),
+                 "off-diagonal entries must have unit modulus", id="sync-modulus"),
+    pytest.param(lambda: _sync_matrix([[0, 1], [1j, 0]]).validate(),
+                 "entries must be Hermitian", id="sync-hermitian"),
+    pytest.param(lambda: _sync_matrix([[1, 0], [0, 0]]).validate(),
+                 "diagonal must live in diagonal_shift", id="sync-diagonal"),
+])
+def test_input_check_messages(build, message):
+    with pytest.raises(InvalidInputError, match=re.escape(message)):
+        build()
 
 
 class TestRho1:

@@ -43,6 +43,16 @@ class TestParamValidation:
                              outlier_fraction=0.0, outlier_scale=1.0,
                              omega=1.0, seed=0)
 
+    @pytest.mark.parametrize("build", [
+        pytest.param(lambda: SmallWorldParams(n=1, epsilon=0.3, p=0.5, seed=0), id="small-world"),
+        pytest.param(lambda: ClockModelParams(n=1, edge_probability=0.5, sigma_good=0.1,
+                                              outlier_fraction=0.0, outlier_scale=1.0,
+                                              omega=1.0, seed=0), id="clock"),
+    ])
+    def test_n_below_2(self, build):
+        with pytest.raises(InvalidInputError, match="need n >= 2, got 1"):
+            build()
+
 
 class TestComplete:
     def test_all_good_when_p_one(self):

@@ -143,6 +143,10 @@ class TestHistogram:
         with pytest.raises(InvalidInputError):
             histogram([], 4)
 
+    def test_bins_below_1_rejected(self):
+        with pytest.raises(InvalidInputError, match="bins must be >= 1"):
+            histogram([1.0, 2.0], 0)
+
     def test_uniform_grid_balanced(self):
         vals = np.linspace(0.0, 1.0, 100, endpoint=False)
         out = histogram(vals, 10)

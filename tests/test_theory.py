@@ -205,6 +205,34 @@ class TestInformationThresholds:
             p_threshold_info(10, 45, 1)
 
 
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: p_threshold_complete(0), "n must be >= 1", id="p_threshold_complete"),
+    pytest.param(lambda: lambda1_sparse_bad(10, -1), "need m_bad >= 0 and n >= 1",
+                 id="lambda1_sparse_bad-m_bad"),
+    pytest.param(lambda: lambda1_sparse_bad(0, 5), "need m_bad >= 0 and n >= 1",
+                 id="lambda1_sparse_bad-n"),
+    pytest.param(lambda: small_world_threshold(0, 5), "need n >= 1 and m >= 1",
+                 id="small_world_threshold-n"),
+    pytest.param(lambda: small_world_threshold(5, 0), "need n >= 1 and m >= 1",
+                 id="small_world_threshold-m"),
+    pytest.param(lambda: fano_error_bound(0, 5, 4, 0.5), "need n >= 1 and m >= 0",
+                 id="fano_error_bound-n"),
+    pytest.param(lambda: fano_error_bound(5, -1, 4, 0.5), "need n >= 1 and m >= 0",
+                 id="fano_error_bound-m"),
+    pytest.param(lambda: p_threshold_info(0, 5, 4), "need n >= 1 and m >= 1",
+                 id="p_threshold_info-n"),
+    pytest.param(lambda: p_threshold_info(5, 0, 4), "need n >= 1 and m >= 1",
+                 id="p_threshold_info-m"),
+    pytest.param(lambda: p_threshold_individual(0, 5, 4), "need n >= 1 and m >= 1",
+                 id="p_threshold_individual-n"),
+    pytest.param(lambda: p_threshold_individual(5, 0, 4), "need n >= 1 and m >= 1",
+                 id="p_threshold_individual-m"),
+])
+def test_argument_check_messages(call, message):
+    with pytest.raises(InvalidInputError, match=message):
+        call()
+
+
 def test_predictions_table_complete():
     rows = predictions_table(400, 79800, 4, 0.1)
     names = {r.name for r in rows}
