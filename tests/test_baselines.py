@@ -338,6 +338,15 @@ class TestSdp:
             with pytest.raises(InvalidInputError, match="step_tolerance must be finite and >= 0"):
                 estimate_sdp(graph, SdpOptions(step_tolerance=bad))
 
+    @pytest.mark.parametrize("field, value", [
+        ("max_iters", 2.5), ("max_iters", None), ("max_iters", 2000.0), ("rank", 2.5),
+    ])
+    def test_non_integer_option_named(self, field, value):
+        # these used to raise TypeError from range() or a comparison
+        graph, _ = gen_complete(CompleteModelParams(n=10, p=1.0, seed=0))
+        with pytest.raises(InvalidInputError, match=f"^{field} must be an integer, got "):
+            estimate_sdp(graph, SdpOptions(**{field: value}))
+
     def test_default_rank(self):
         assert default_sdp_rank(200) == 20
         assert default_sdp_rank(4) == 3

@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy.sparse.linalg import LinearOperator
 
 import angsync.spectra
 from angsync.core import InvalidInputError, OffsetGraph, TooLargeError, reduce_angles
@@ -14,6 +20,8 @@ from angsync.generators import (
 )
 from angsync.spectra import cluster_sizes, full_spectrum, histogram, top_k_spectrum
 from angsync.theory import wigner_edge
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def all_good_triangle(theta):
@@ -131,6 +139,95 @@ class TestTopK:
             top_k_spectrum(H, 0)
         with pytest.raises(InvalidInputError):
             top_k_spectrum(H, 11)
+
+    @pytest.mark.parametrize("k", [2.5, 29.5, 3.0, "3", None])
+    def test_non_integer_k_rejected(self, k):
+        # 2.5 used to reach ARPACK (SystemError) and 29.5 a slice (TypeError)
+        graph, _ = gen_complete(CompleteModelParams(n=30, p=1.0, seed=0))
+        with pytest.raises(InvalidInputError, match="k must be an integer, got"):
+            top_k_spectrum(build_sync_matrix(graph), k)
+
+    def test_numpy_integer_k_accepted(self):
+        graph, _ = gen_complete(CompleteModelParams(n=30, p=0.5, seed=0))
+        H = build_sync_matrix(graph)
+        assert np.array_equal(top_k_spectrum(H, np.int64(4)), top_k_spectrum(H, 4))
+
+
+class TestArpackTolerance:
+    """`top_k_spectrum` stops ARPACK at a relative residual of `ARPACK_TOL`,
+    not at machine precision: fewer products, values as accurate as callers
+    need."""
+
+    @pytest.mark.parametrize("gen, params", [
+        (gen_complete, CompleteModelParams(n=400, p=0.0, seed=9)),  # no spectral gap
+        (gen_small_world, SmallWorldParams(n=1000, epsilon=0.3, p=0.5, seed=1)),
+    ], ids=["complete-p0", "small-world-1000"])
+    def test_top_25_match_dense_eigvalsh(self, gen, params):
+        # k = 25 as in scripts/reproduce_spectra.py
+        H = build_sync_matrix(gen(params)[0])
+        dense = np.linalg.eigvalsh(H.to_dense())[::-1][:25]
+        assert np.max(np.abs(top_k_spectrum(H, 25) - dense)) <= 1e-12 * abs(dense[0])
+
+    def test_fewer_products_than_machine_precision(self, monkeypatch):
+        # each eigs call records its arguments and counts its products
+        calls = []
+        real = angsync.spectra.eigs
+
+        def spy(op, **kwargs):
+            call = {"kwargs": kwargs, "rng_state": kwargs["rng"].bit_generator.state,
+                    "products": 0}
+            calls.append(call)
+
+            def matvec(v):
+                call["products"] += 1
+                return op.matvec(v)
+
+            return real(LinearOperator(op.shape, matvec=matvec, dtype=op.dtype), **kwargs)
+
+        monkeypatch.setattr(angsync.spectra, "eigs", spy)
+        graph, _ = gen_small_world(SmallWorldParams(n=2000, epsilon=0.05, p=0.3, seed=0))
+        H = build_sync_matrix(graph)
+        top_k_spectrum(H, 9)
+        (call,) = calls
+        assert call["kwargs"]["tol"] == angsync.spectra.ARPACK_TOL
+        # the same seeded start, run to machine precision
+        rng = np.random.default_rng()
+        rng.bit_generator.state = call["rng_state"]
+        spy(LinearOperator((H.n, H.n), matvec=H.matvec, dtype=np.complex128),
+            **dict(call["kwargs"], tol=0, rng=rng))
+        assert call["products"] < calls[1]["products"]
+
+    def test_values_independent_of_blas_threads(self):
+        """The same values bit for bit at one and at two BLAS threads (two
+        subprocesses, at most two threads each), on dense and sparse H."""
+        script = (
+            "import hashlib\n"
+            "from angsync.eig import build_sync_matrix\n"
+            "from angsync.generators import (CompleteModelParams, SmallWorldParams,\n"
+            "                                gen_complete, gen_small_world)\n"
+            "from angsync.spectra import top_k_spectrum\n"
+            "h = hashlib.sha256()\n"
+            "for graph in (gen_complete(CompleteModelParams(n=400, p=0.1, seed=1))[0],\n"
+            "              gen_complete(CompleteModelParams(n=400, p=0.0, seed=9))[0],\n"
+            "              gen_small_world(SmallWorldParams(n=400, epsilon=0.2, p=1.0,\n"
+            "                                               seed=2))[0],\n"
+            "              gen_small_world(SmallWorldParams(n=2000, epsilon=0.05, p=0.3,\n"
+            "                                               seed=0))[0]):\n"
+            "    h.update(top_k_spectrum(build_sync_matrix(graph), 9).tobytes())\n"
+            "print(h.hexdigest())\n"
+        )
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+                [str(ROOT / "src")] + ([os.environ["PYTHONPATH"]]
+                                       if os.environ.get("PYTHONPATH") else [])))
+            for key in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+                env[key] = threads
+            proc = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                                  capture_output=True, text=True, timeout=300)
+            digests.append(proc.stdout.strip())
+        assert len(digests[0]) == 64
+        assert digests[0] == digests[1]
 
 
 class TestHistogram:
