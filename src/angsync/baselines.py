@@ -62,8 +62,7 @@ def estimate_lsqr(graph: OffsetGraph, opts: LsqrOptions | None = None, *,
     t0 = time.perf_counter()
     n = graph.n
     H = eig.sync_matrix_of(graph, H)
-    # H stores exactly the graph's 2m edge entries, so its row counts are the degrees
-    L = (sp.diags(np.diff(H.entries.indptr).astype(np.float64)) - H.entries).tocsr()
+    L = _laplacian(H)
 
     ncomp, labels = connected_component_labels(graph)
     anchors = np.unique(labels, return_index=True)[1]
@@ -93,6 +92,28 @@ def estimate_lsqr(graph: OffsetGraph, opts: LsqrOptions | None = None, *,
     return eig._estimate("lsqr", t0, z, v, float(np.vdot(v, H.matvec(v)).real), iterations,
                          residual, info == 0, components=int(ncomp),
                          disconnected=bool(ncomp > 1))
+
+
+def _laplacian(H: SyncMatrix) -> sp.csr_matrix:
+    """The connection Laplacian D - H as CSR, with the bytes of
+    ``(sp.diags(deg) - H.entries).tocsr()``.
+
+    H stores exactly the graph's 2m edge entries, so its row counts are the
+    degrees.  When it stores every off-diagonal entry and has a dense
+    operand, every row of D - H is full: its values are 0 - H, as the sparse
+    subtraction computes them, with the degrees on the diagonal, and its
+    pattern follows from n."""
+    n = H.n
+    deg = np.diff(H.entries.indptr).astype(np.float64)
+    if H.nnz_offdiag != n * (n - 1) or H._dense is None:
+        return (sp.diags(deg) - H.entries).tocsr()
+    data = np.subtract(0.0, H._dense)
+    np.fill_diagonal(data, deg)
+    idx = sp.get_index_dtype(maxval=n * n)
+    indptr = np.arange(n + 1, dtype=idx)
+    indptr *= n
+    return sp.csr_matrix((data.reshape(-1), np.tile(np.arange(n, dtype=idx), n), indptr),
+                         shape=(n, n))
 
 
 RANK_TOLERANCE = 1e-6  # relative singular-value cutoff for theta_rank

@@ -137,6 +137,20 @@ def _lock(arr):
     return arr
 
 
+def _adopt(x, dtype) -> np.ndarray:
+    """`x` itself when it is a read-only `dtype` array that owns its memory,
+    else a new `dtype` array with its values."""
+    if (isinstance(x, np.ndarray) and x.dtype == dtype and x.flags.owndata
+            and not x.flags.writeable):
+        return x
+    return np.array(x, dtype=dtype)
+
+
+# edges per OffsetGraph validation block: its int64 codes and boolean
+# temporaries stay below glibc's 128 KiB mapping threshold
+_CHECK_BLOCK = 1 << 13
+
+
 @dataclass(frozen=True)
 class OffsetGraph:
     """A measurement instance: n vertices and undirected edges carrying offsets.
@@ -144,6 +158,15 @@ class OffsetGraph:
     Each unordered pair appears at most once, stored with i < j.  The implied
     reverse offset is -delta mod 2pi (offsets are skew symmetric), so only one
     direction is stored.
+
+    The stored arrays are read-only.  An `i` or `j` that is already a
+    read-only int64 array owning its memory is adopted as it is: the caller
+    hands it over (as the generators do with the index arrays they make).
+    Any other `i` or `j`, a writable array or a read-only view included, is
+    copied, and `delta` is always reduced into a new array.  The checks run
+    over blocks of `_CHECK_BLOCK` edges, so they make no m-sized temporary
+    unless the edges do not ascend in (i, j) order; whether they do is kept
+    for `eig.build_sync_matrix`.
     """
 
     n: int
@@ -153,31 +176,42 @@ class OffsetGraph:
 
     def __post_init__(self):
         n = int(self.n)
-        i = np.asarray(self.i, dtype=np.int64).copy()
-        j = np.asarray(self.j, dtype=np.int64).copy()
-        delta = np.asarray(self.delta, dtype=np.float64)
-        if not np.isfinite(delta).all():
-            raise InvalidInputError("offsets must be finite")
-        delta = np.atleast_1d(reduce_angles(delta))  # a new array
+        i = _adopt(self.i, np.int64)
+        j = _adopt(self.j, np.int64)
+        raw = np.atleast_1d(np.asarray(self.delta, dtype=np.float64))
+        flat = raw.reshape(-1)
+        delta = np.empty(flat.size)
+        for s in range(0, flat.size, _CHECK_BLOCK):
+            block = flat[s:s + _CHECK_BLOCK]
+            if not np.isfinite(block).all():
+                raise InvalidInputError("offsets must be finite")
+            _reduce(block, delta[s:s + _CHECK_BLOCK])
+        delta = delta.reshape(raw.shape)
         if n < 1:
             raise InvalidInputError(f"need n >= 1, got {n}")
         if not (i.ndim == j.ndim == delta.ndim == 1 and i.size == j.size == delta.size):
             raise InvalidInputError("i, j, delta must be 1-d arrays of equal length")
-        if i.size:
-            if not (i.min() >= 0 and j.max() < n and np.all(i < j)):
+        # strictly ascending codes i * n + j hold no duplicate; others are
+        # sorted and diffed (np.unique takes a hash path in numpy 2.4 that is
+        # about 20x slower at m = 79,800)
+        ascending, last = True, -1
+        codes = np.empty(min(i.size, _CHECK_BLOCK), dtype=np.int64)
+        for s in range(0, i.size, _CHECK_BLOCK):
+            bi, bj = i[s:s + _CHECK_BLOCK], j[s:s + _CHECK_BLOCK]
+            if not (bi.min() >= 0 and bj.max() < n and np.all(bi < bj)):
                 raise InvalidInputError("edges must satisfy 0 <= i < j < n")
-            # strictly ascending codes hold no duplicate; others are sorted
-            # and diffed (np.unique takes a hash path in numpy 2.4 that is
-            # about 20x slower at m = 79,800)
-            codes = i * n
-            codes += j
-            if (not np.all(codes[1:] > codes[:-1])
-                    and not np.all(np.diff(np.sort(codes)))):
-                raise InvalidInputError("duplicate edge pair")
+            if ascending:
+                c = np.multiply(bi, n, out=codes[:bi.size])
+                c += bj
+                ascending = bool(c[0] > last and np.all(c[1:] > c[:-1]))
+                last = c[-1]
+        if not ascending and not np.all(np.diff(np.sort(i * n + j))):
+            raise InvalidInputError("duplicate edge pair")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "i", _lock(i))
         object.__setattr__(self, "j", _lock(j))
         object.__setattr__(self, "delta", _lock(delta))
+        object.__setattr__(self, "_ascending", ascending)
 
     @property
     def m(self) -> int:
@@ -235,7 +269,9 @@ class SyncMatrix:
     Products with H (`matvec`, `matmat`) run on a dense copy of `entries`
     when that copy takes no more bytes than the CSR arrays (16 n^2 bytes
     against data, indices and indptr: complete graphs from n = 4 on), and on
-    the CSR otherwise.  The copy is made on the first product, once.  numpy
+    the CSR otherwise.  The copy is made on the first product, once, unless
+    the matrix was built with it (`eig.build_sync_matrix` lays out complete
+    graphs in the dense array first and hands it over).  numpy
     and scipy each link their own BLAS with its own thread pool, and a
     product from one pool inside a loop driven by the other oversubscribes
     the CPUs (at 2 threads, numpy's product inside ARPACK took a top eigenpair
@@ -253,13 +289,21 @@ class SyncMatrix:
         if not np.isfinite(self.diagonal_shift):
             raise InvalidInputError("diagonal_shift must be finite")
 
+    def _dense_fits(self) -> bool:
+        a = self.entries
+        return 16 * self.n ** 2 <= a.data.nbytes + a.indices.nbytes + a.indptr.nbytes
+
     @cached_property
     def _dense(self) -> np.ndarray | None:
         """`entries` as a dense array when that is no larger than the CSR, else None."""
-        a = self.entries
-        if 16 * self.n ** 2 > a.data.nbytes + a.indices.nbytes + a.indptr.nbytes:
-            return None
-        return a.toarray()
+        return self.entries.toarray() if self._dense_fits() else None
+
+    def _adopt_dense(self, D: np.ndarray) -> SyncMatrix:
+        """Take `D`, equal to ``entries.toarray()`` byte for byte, as the dense
+        operand when one is used, so no product copies `entries`; returns self."""
+        if self._dense_fits():
+            self.__dict__["_dense"] = D  # the value the cached property would compute
+        return self
 
     def _shifted(self, out: np.ndarray, v: np.ndarray) -> np.ndarray:
         if self.diagonal_shift != 0.0:

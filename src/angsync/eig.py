@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigs
 
 from .core import (
@@ -37,16 +38,31 @@ from .core import (
 ZERO_MAGNITUDE = 1e-14
 
 
+_TILE = 64  # rows of the conjugate half that `_complete_entries` fills at a time
+_LOWER = np.tri(_TILE, k=-1, dtype=bool)  # strictly below the diagonal of a tile
+
+
 def build_sync_matrix(graph: OffsetGraph, diagonal_shift: float = 0.0) -> SyncMatrix:
     """H_ij = exp(i delta_ij) at measured pairs, conjugate at (j, i), zero
     elsewhere; constant diagonal `diagonal_shift`.
 
-    The conjugate half comes first: in row r its columns lie below r and the
-    forward half's above, so when the edges are in ascending (i, j) order
-    every row arrives sorted and the CSR conversion sorts nothing.  The 2m
-    values are computed in place in one array, and the row and column arrays
-    are made in scipy's index dtype, so the COO constructor copies neither."""
+    Two routes give the same CSR arrays, in dtype and bytes.  A complete
+    graph whose edges ascend (m = n(n - 1)/2 and ascending (i, j) order, so
+    its edges are ``np.triu_indices(n, 1)``: every `gen_complete` instance,
+    `gen_clock` at edge probability 1 and any file written from them) is
+    laid out from n by `_complete_entries`, and the matrix takes the dense
+    array it was laid out in as its product operand.  Every other graph goes
+    through a COO matrix: the conjugate half comes first, so that in row r
+    its columns lie below r and the forward half's above, and when the
+    edges ascend every row arrives sorted and the CSR conversion sorts
+    nothing.  The 2m values are computed in place in one array, and the row
+    and column arrays are made in scipy's index dtype, so the COO
+    constructor copies neither."""
     m = graph.m
+    if 2 * m == graph.n * (graph.n - 1) and graph._ascending:
+        entries, D = _complete_entries(graph)
+        return SyncMatrix(n=graph.n, entries=entries,
+                          diagonal_shift=float(diagonal_shift))._adopt_dense(D)
     data = np.empty(2 * m, dtype=np.complex128)
     w = data[m:]
     np.multiply(1j, graph.delta, out=w)
@@ -57,6 +73,50 @@ def build_sync_matrix(graph: OffsetGraph, diagonal_shift: float = 0.0) -> SyncMa
     cols = np.concatenate([graph.i, graph.j], dtype=idx)
     entries = sp.coo_matrix((data, (rows, cols)), shape=(graph.n, graph.n)).tocsr()
     return SyncMatrix(n=graph.n, entries=entries, diagonal_shift=float(diagonal_shift))
+
+
+def _complete_entries(graph: OffsetGraph):
+    """(the CSR `entries`, ``entries.toarray()``) of a complete graph whose
+    edges are ``np.triu_indices(n, 1)``, with the bytes the COO route gives.
+
+    Row r of the dense array D holds the phasors of the run of edges
+    (r, r+1..n-1) right of its diagonal; the conjugate half below it is
+    filled tile by tile from the transposed upper half.  Every CSR row is
+    full, so the CSR data is D's off-diagonal in row-major order and the
+    column indices and row pointers follow from n.  The phasors are computed
+    in the back half of the data array, which D's off-diagonal then
+    overwrites, so no separate phasor array is held."""
+    n, m = graph.n, graph.m
+    data = np.empty(2 * m, dtype=np.complex128)
+    w = data[m:]
+    np.multiply(1j, graph.delta, out=w)
+    np.exp(w, out=w)
+    D = np.zeros((n, n), dtype=np.complex128)
+    s = 0
+    for r in range(n - 1):
+        D[r, r + 1:] = w[s:s + n - 1 - r]
+        s += n - 1 - r
+    for a in range(0, n, _TILE):
+        b = min(a + _TILE, n)
+        np.conjugate(D[:a, a:b].T, out=D[a:b, :a])
+        np.conjugate(D[a:b, a:b].T, out=D[a:b, a:b], where=_LOWER[:b - a, :b - a])
+    # drop D's first entry and view the rest as n - 1 rows of n + 1 entries:
+    # each row ends in a diagonal entry, and the others are the off-diagonal
+    np.copyto(data.reshape(n - 1, n), D.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :n])
+    # toarray adds each entry to a zero, which turns the conjugate 1 - 0j of
+    # a zero offset into 1 + 0j (no other phasor has a zero part)
+    if not graph.delta.all():
+        zero = np.flatnonzero(graph.delta == 0.0)
+        D[graph.j[zero], graph.i[zero]] += 0.0
+    idx = sp.get_index_dtype(maxval=max(n, 2 * m))
+    # the columns of that view's row k are k + 1, k + 2, ... mod n
+    cols = np.arange(n, dtype=idx)
+    indices = sliding_window_view(np.concatenate([cols, cols]), n)[1:n].reshape(-1)
+    indptr = np.arange(n + 1, dtype=idx)
+    indptr *= n - 1
+    entries = sp.csr_matrix((data, indices, indptr), shape=(n, n))
+    entries.has_canonical_format = True  # as the COO route's conversion leaves it
+    return entries, D
 
 
 def sync_matrix_of(graph: OffsetGraph, H: SyncMatrix | None = None) -> SyncMatrix:

@@ -20,6 +20,7 @@ from .core import (
     GroundTruth,
     InvalidInputError,
     OffsetGraph,
+    _lock,
     check_prob,
     check_seed,
     is_connected,
@@ -104,16 +105,21 @@ class ClockModelParams:
 
 
 def gen_complete(params: CompleteModelParams):
-    """Complete-graph instance: every pair measured, outliers uniform."""
+    """Complete-graph instance: every pair measured, outliers uniform.
+
+    The `triu_indices` arrays are handed to `OffsetGraph` read-only, so it
+    adopts them without a copy, and it reduces the offsets mod 2pi: the
+    good ones are theta_i - theta_j, the outliers already lie in [0, 2pi)."""
     n = params.n
     theta = _rng(params.seed, _STREAM_ANGLES).uniform(0.0, TWO_PI, n)
     ii, jj = np.triu_indices(n, k=1)
     noise = _rng(params.seed, _STREAM_NOISE)
     good = noise.random(ii.size) < params.p
-    delta = reduce_angles(theta[ii] - theta[jj])
+    delta = theta[ii]
+    delta -= theta[jj]
     nbad = int(np.count_nonzero(~good))
     delta[~good] = noise.uniform(0.0, TWO_PI, nbad)
-    graph = OffsetGraph(n=n, i=ii, j=jj, delta=delta)
+    graph = OffsetGraph(n=n, i=_lock(ii), j=_lock(jj), delta=delta)
     truth = GroundTruth(theta=theta, good_mask=good)
     truth.validate_against(graph)
     return graph, truth
@@ -275,7 +281,7 @@ def gen_small_world(params: SmallWorldParams):
     delta[good] = reduce_angles(theta[out_i[good]] - theta[out_j[good]])
     delta[rewire_mask] = rewire.uniform(0.0, TWO_PI, int(rewire_mask.sum()))
 
-    graph = OffsetGraph(n=n, i=out_i, j=out_j, delta=delta)
+    graph = OffsetGraph(n=n, i=_lock(out_i), j=_lock(out_j), delta=delta)
     truth = GroundTruth(theta=theta, good_mask=good)
     truth.validate_against(graph)
     return graph, truth
@@ -311,9 +317,9 @@ def gen_clock(params: ClockModelParams):
     err[outlier] = noise.uniform(-params.outlier_scale, params.outlier_scale,
                                  int(outlier.sum()))
     t_ij = times[ii] - times[jj] + err
-    delta = reduce_angles(params.omega * t_ij)
+    t_ij *= params.omega  # OffsetGraph reduces it mod 2pi
 
-    graph = OffsetGraph(n=n, i=ii, j=jj, delta=delta)
+    graph = OffsetGraph(n=n, i=_lock(ii), j=_lock(jj), delta=t_ij)
     truth = GroundTruth(theta=reduce_angles(params.omega * times), good_mask=~outlier)
     truth.validate_against(graph, tol=None)  # good edges keep their Gaussian error
     return graph, truth, times

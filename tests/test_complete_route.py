@@ -1,0 +1,144 @@
+"""The complete-graph route of `build_sync_matrix` against the COO build.
+
+A complete graph whose edges ascend is laid out from n.  Its CSR arrays
+must be the bytes of the COO build (the route every other graph takes, kept
+here as the reference), the dense operand it carries from construction the
+bytes of ``entries.toarray()``, and lsqr's Laplacian the bytes of the
+sparse subtraction.
+"""
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+
+from angsync.baselines import _laplacian
+from angsync.core import OffsetGraph
+from angsync.eig import build_sync_matrix
+from angsync.generators import (
+    ClockModelParams,
+    CompleteModelParams,
+    SmallWorldParams,
+    gen_clock,
+    gen_complete,
+    gen_small_world,
+)
+
+
+def _coo_entries(graph):
+    """H's CSR through a COO matrix, as `build_sync_matrix` builds it for
+    graphs that are not complete with ascending edges."""
+    m = graph.m
+    data = np.empty(2 * m, dtype=np.complex128)
+    w = data[m:]
+    np.multiply(1j, graph.delta, out=w)
+    np.exp(w, out=w)
+    np.conjugate(w, out=data[:m])
+    idx = sp.get_index_dtype(maxval=max(graph.n, 2 * m))
+    rows = np.concatenate([graph.j, graph.i], dtype=idx)
+    cols = np.concatenate([graph.i, graph.j], dtype=idx)
+    return sp.coo_matrix((data, (rows, cols)), shape=(graph.n, graph.n)).tocsr()
+
+
+def _csr_bytes(a):
+    return [(x.dtype.str, x.tobytes()) for x in (a.data, a.indices, a.indptr)]
+
+
+def _complete(n, p=0.3, seed=None):
+    return gen_complete(CompleteModelParams(n=n, p=p, seed=n if seed is None else seed))[0]
+
+
+def _zero_offsets():
+    """Complete n=60 with a zero offset on every 7th edge: the conjugate of
+    exp(0i) is 1 - 0j in the CSR and 1 + 0j in ``toarray``."""
+    g = _complete(60)
+    delta = np.array(g.delta)
+    delta[::7] = 0.0
+    return OffsetGraph(n=g.n, i=g.i, j=g.j, delta=delta)
+
+
+def _clock():
+    return gen_clock(ClockModelParams(n=50, edge_probability=1.0, sigma_good=0.05,
+                                      outlier_fraction=0.3, outlier_scale=20.0,
+                                      omega=1.0, seed=4))[0]
+
+
+COMPLETE = {"complete-4": lambda: _complete(4),
+            "complete-60": lambda: _complete(60),
+            "complete-400": lambda: _complete(400),
+            "complete-1000": lambda: _complete(1000),
+            "zero-offsets": _zero_offsets,
+            "clock-p1": _clock}
+
+
+@pytest.mark.parametrize("name", list(COMPLETE))
+def test_entries_and_operand_bytes(name):
+    graph = COMPLETE[name]()
+    assert graph._ascending
+    H = build_sync_matrix(graph)
+    ref = _coo_entries(graph)
+    assert _csr_bytes(H.entries) == _csr_bytes(ref)
+    assert "_dense" in vars(H)  # carried from construction, not copied later
+    assert H._dense.tobytes() == ref.toarray().tobytes()
+
+
+def test_zero_offset_case_has_signed_zeros():
+    ref = _coo_entries(_zero_offsets())
+    assert np.signbit(ref.data.imag[ref.data.imag == 0.0]).any()
+    dense = ref.toarray().imag
+    assert not np.signbit(dense[dense == 0.0]).any()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_below_dense_size(n):
+    graph = _complete(n) if n > 1 else OffsetGraph(n=1, i=[], j=[], delta=[])
+    H = build_sync_matrix(graph)
+    assert _csr_bytes(H.entries) == _csr_bytes(_coo_entries(graph))
+    assert H._dense is None  # 16 n^2 bytes exceed the CSR's below n = 4
+
+
+def test_shuffled_edges_take_coo_route():
+    graph = _complete(60)
+    perm = np.random.default_rng(1).permutation(graph.m)
+    shuffled = OffsetGraph(n=graph.n, i=graph.i[perm], j=graph.j[perm],
+                           delta=graph.delta[perm])
+    assert not shuffled._ascending
+    H = build_sync_matrix(shuffled)
+    assert "_dense" not in vars(H)
+    assert _csr_bytes(H.entries) == _csr_bytes(build_sync_matrix(graph).entries)
+    assert H._dense.tobytes() == build_sync_matrix(graph)._dense.tobytes()
+
+
+def test_missing_edge_takes_coo_route():
+    g = _complete(30)
+    graph = OffsetGraph(n=g.n, i=g.i[1:], j=g.j[1:], delta=g.delta[1:])
+    assert graph._ascending
+    H = build_sync_matrix(graph)
+    assert "_dense" not in vars(H)
+    assert _csr_bytes(H.entries) == _csr_bytes(_coo_entries(graph))
+
+
+def test_shift_kept():
+    H = build_sync_matrix(_complete(20), diagonal_shift=0.5)
+    assert H.diagonal_shift == 0.5
+    v = np.arange(20, dtype=np.complex128)
+    ref = H.entries @ v + 0.5 * v
+    assert np.max(np.abs(H.matvec(v) - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def _shuffled_complete():
+    g = _complete(40)
+    perm = np.random.default_rng(2).permutation(g.m)
+    return OffsetGraph(n=g.n, i=g.i[perm], j=g.j[perm], delta=g.delta[perm])
+
+
+@pytest.mark.parametrize("build", [
+    *COMPLETE.values(),
+    lambda: _complete(3),
+    _shuffled_complete,
+    lambda: gen_small_world(SmallWorldParams(n=200, epsilon=0.1, p=0.5, seed=3))[0],
+], ids=[*COMPLETE, "complete-3", "shuffled-complete", "small-world"])
+def test_laplacian_bytes(build):
+    H = build_sync_matrix(build())
+    deg = np.diff(H.entries.indptr).astype(np.float64)
+    ref = (sp.diags(deg) - H.entries).tocsr()
+    assert _csr_bytes(_laplacian(H)) == _csr_bytes(ref)

@@ -198,6 +198,131 @@ class TestOffsetGraph:
         assert g.degrees().tolist() == [2, 2, 2, 0]
 
 
+def _locked(values, dtype=np.int64):
+    a = np.array(values, dtype=dtype)
+    a.flags.writeable = False
+    return a
+
+
+class TestOffsetGraphAdoption:
+    """Read-only int64 arrays that own their memory are adopted; any other
+    index array is copied, so no later write reaches the graph."""
+
+    def test_writable_arrays_copied(self):
+        i, j = np.array([0, 0, 1]), np.array([1, 2, 2])
+        g = OffsetGraph(n=3, i=i, j=j, delta=[0.1, 0.2, 0.3])
+        i[0], j[0] = 1, 2
+        assert g.i.tolist() == [0, 0, 1] and g.j.tolist() == [1, 2, 2]
+        assert not (g.i.flags.writeable or g.j.flags.writeable)
+
+    def test_read_only_owners_adopted(self):
+        i, j = _locked([0, 0, 1]), _locked([1, 2, 2])
+        g = OffsetGraph(n=3, i=i, j=j, delta=[0.1, 0.2, 0.3])
+        assert g.i is i and g.j is j
+
+    def test_read_only_views_copied(self):
+        pairs = np.array([[0, 0, 1], [1, 2, 2]])
+        i, j = pairs[0], pairs[1]
+        i.flags.writeable = j.flags.writeable = False
+        g = OffsetGraph(n=3, i=i, j=j, delta=[0.1, 0.2, 0.3])
+        assert not (np.shares_memory(g.i, pairs) or np.shares_memory(g.j, pairs))
+        pairs[0, 0], pairs[1, 0] = 1, 2  # the owner is still writable
+        assert g.i.tolist() == [0, 0, 1] and g.j.tolist() == [1, 2, 2]
+
+    def test_read_only_owner_of_another_dtype_copied(self):
+        i = _locked([0, 0, 1], np.int32)
+        g = OffsetGraph(n=3, i=i, j=_locked([1, 2, 2]), delta=[0.1, 0.2, 0.3])
+        assert g.i.dtype == np.int64 and not np.shares_memory(g.i, i)
+
+    def test_delta_always_new(self):
+        delta = _locked([0.1, 0.2, 0.3], np.float64)
+        g = OffsetGraph(n=3, i=_locked([0, 0, 1]), j=_locked([1, 2, 2]), delta=delta)
+        assert not np.shares_memory(g.delta, delta)
+
+    @pytest.mark.parametrize("model", ["complete", "clock", "small-world"])
+    def test_generators_hand_over_their_index_arrays(self, model, monkeypatch):
+        seen = []
+        init = OffsetGraph.__post_init__
+
+        def spy(self):
+            seen.append((self.i, self.j))
+            init(self)
+
+        monkeypatch.setattr(OffsetGraph, "__post_init__", spy)
+        if model == "complete":
+            g = gen_complete(CompleteModelParams(n=20, p=0.5, seed=1))[0]
+        elif model == "clock":
+            g = gen_clock(ClockModelParams(n=20, edge_probability=0.5, sigma_good=0.01,
+                                           outlier_fraction=0.2, outlier_scale=5.0,
+                                           omega=1.0, seed=1))[0]
+        else:
+            g = gen_small_world(SmallWorldParams(n=60, epsilon=0.3, p=0.5, seed=1))[0]
+        assert seen[-1][0] is g.i and seen[-1][1] is g.j
+
+
+# (i, j, delta) that the checks reject, with the message; at a validation
+# block of 2 edges each fault sits in a later block than the first
+_REJECTED = [
+    pytest.param([0, 0, 1, 1], [1, 2, 2, 3], [0.1, 0.2, 0.3, np.nan],
+                 "offsets must be finite", id="non-finite"),
+    pytest.param([0, 0, 1, 3], [1, 2, 2, 3], [0.1] * 4,
+                 "edges must satisfy 0 <= i < j < n", id="i-equals-j"),
+    pytest.param([0, 0, 1, 2], [1, 2, 2, 1], [0.1] * 4,
+                 "edges must satisfy 0 <= i < j < n", id="i-above-j"),
+    pytest.param([0, 0, 1, 1], [1, 2, 2, 4], [0.1] * 4,
+                 "edges must satisfy 0 <= i < j < n", id="j-at-n"),
+    pytest.param([0, 0, 1, -1], [1, 2, 2, 3], [0.1] * 4,
+                 "edges must satisfy 0 <= i < j < n", id="negative-i"),
+    pytest.param([0, 0, 0, 1], [1, 2, 2, 3], [0.1] * 4,
+                 "duplicate edge pair", id="duplicate-across-blocks"),
+    pytest.param([1, 0, 0, 1], [2, 1, 2, 2], [0.1] * 4,
+                 "duplicate edge pair", id="duplicate-unsorted"),
+    # the range check covers every block before any duplicate is reported
+    pytest.param([0, 0, 1, 1, 2, 2], [1, 1, 2, 3, 3, 4], [0.1] * 6,
+                 "edges must satisfy 0 <= i < j < n", id="range-before-duplicate"),
+    # non-finite offsets are reported before anything else
+    pytest.param([0, 0], [0, 0], [0.1, np.inf],
+                 "offsets must be finite", id="finite-before-range"),
+]
+
+
+@pytest.mark.parametrize("block", [2, None])
+@pytest.mark.parametrize("locked", [False, True])
+@pytest.mark.parametrize("i, j, delta, message", _REJECTED)
+def test_rejections_in_blocks(i, j, delta, message, locked, block, monkeypatch):
+    if block is not None:
+        monkeypatch.setattr(angsync.core, "_CHECK_BLOCK", block)
+    if locked:
+        i, j = _locked(i), _locked(j)
+    with pytest.raises(InvalidInputError, match=re.escape(message)):
+        OffsetGraph(n=4, i=i, j=j, delta=delta)
+
+
+@pytest.mark.parametrize("block", [2, 3, None])
+@pytest.mark.parametrize("i, j, ascending", [
+    ([0, 0, 1, 1, 2], [1, 2, 2, 3, 3], True),
+    ([0, 1, 0, 1, 2], [1, 2, 2, 3, 3], False),  # descends inside the first block
+    ([0, 0, 2, 1, 2], [1, 2, 3, 3, 4], False),  # descends across a block boundary
+    ([], [], True),
+])
+def test_ascending_recorded(i, j, ascending, block, monkeypatch):
+    if block is not None:
+        monkeypatch.setattr(angsync.core, "_CHECK_BLOCK", block)
+    g = OffsetGraph(n=5, i=i, j=j, delta=np.full(len(i), 0.5))
+    assert g._ascending is ascending
+    assert g.i.tolist() == i and g.j.tolist() == j
+
+
+def test_blocked_reduction_matches_whole_array(monkeypatch):
+    delta = np.random.default_rng(3).uniform(-20.0, 20.0, 9)
+    delta[[2, 7]] = [-1e-300, 4 * np.pi]  # one block takes np.mod, the others not
+    i, j = np.triu_indices(5, 1)
+    whole = OffsetGraph(n=5, i=i[:9], j=j[:9], delta=delta).delta
+    monkeypatch.setattr(angsync.core, "_CHECK_BLOCK", 2)
+    blocked = OffsetGraph(n=5, i=i[:9], j=j[:9], delta=delta).delta
+    assert blocked.tobytes() == whole.tobytes() == reduce_angles(delta).tobytes()
+
+
 class TestGroundTruth:
     def test_validate_against_good_edges(self):
         theta = np.array([0.3, 1.2, 5.0])

@@ -95,8 +95,20 @@ def test_top_k_spectrum_matches_csr_reference(name):
 def test_sdp_matches_csr_run(name, monkeypatch):
     graph = DENSE[name]()
     est, rank = estimate_sdp(graph, SdpOptions(seed=2))
-    monkeypatch.setattr(SyncMatrix, "_dense", None)  # every product on the CSR
-    ref, ref_rank = estimate_sdp(graph, SdpOptions(seed=2))
+    # the reference runs on a sync matrix of the same entries without a
+    # dense operand, so every product goes through the CSR
+    csr_only = SyncMatrix(n=graph.n, entries=build_sync_matrix(graph).entries)
+    object.__setattr__(csr_only, "_dense", None)
+    on_csr = []
+    matmat = SyncMatrix.matmat
+
+    def spy(self, V):
+        on_csr.append(self is csr_only and self._dense is None)
+        return matmat(self, V)
+
+    monkeypatch.setattr(SyncMatrix, "matmat", spy)
+    ref, ref_rank = estimate_sdp(graph, SdpOptions(seed=2), H=csr_only)
+    assert on_csr and all(on_csr)
     assert rank == ref_rank
     f, f_ref = est.diagnostics["objective"], ref.diagnostics["objective"]
     assert f == pytest.approx(f_ref, rel=1e-12)
