@@ -31,6 +31,7 @@ from .core import (
     OffsetGraph,
     SyncMatrix,
     check_budget,
+    check_integer,
     check_seed,
     connected_component_labels,
 )
@@ -197,9 +198,8 @@ def estimate_sdp(graph: OffsetGraph, opts: SdpOptions | None = None, *,
     opts = opts or SdpOptions()
     n = graph.n
     r = opts.rank if opts.rank is not None else default_sdp_rank(n)
-    for name, value in (("rank", r), ("max_iters", opts.max_iters)):
-        if not isinstance(value, (int, np.integer)):
-            raise InvalidInputError(f"{name} must be an integer, got {value!r}")
+    check_integer("rank", r)
+    check_integer("max_iters", opts.max_iters)
     if not 1 <= r <= n:
         raise InvalidInputError(f"rank must lie in [1, {n}], got {r}")
     if opts.max_iters < 1:

@@ -66,12 +66,22 @@ def check_seed(seed) -> None:
         raise InvalidInputError("seed must be a nonnegative 64-bit integer")
 
 
+def check_integer(name: str, value) -> None:
+    """Raise InvalidInputError naming `name` unless `value` is an int or a
+    numpy integer (a float, even an integral one, is rejected)."""
+    if not isinstance(value, (int, np.integer)):
+        raise InvalidInputError(f"{name} must be an integer, got {value!r}")
+
+
 def check_budget(tol, max_iters) -> None:
-    """Raise InvalidInputError unless tol is finite and > 0 and max_iters is None or >= 1."""
+    """Raise InvalidInputError unless tol is finite and > 0 and max_iters is
+    None or an integer >= 1."""
     if not 0 < tol < np.inf:
         raise InvalidInputError("tol must be finite and > 0")
-    if max_iters is not None and max_iters < 1:
-        raise InvalidInputError("max_iters must be >= 1")
+    if max_iters is not None:
+        check_integer("max_iters", max_iters)
+        if max_iters < 1:
+            raise InvalidInputError("max_iters must be >= 1")
 
 
 def _mod2pi(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -167,6 +177,14 @@ class OffsetGraph:
     over blocks of `_CHECK_BLOCK` edges, so they make no m-sized temporary
     unless the edges do not ascend in (i, j) order; whether they do is kept
     for `eig.build_sync_matrix`.
+
+    The sparsity pattern of the symmetric matrix, both directions of every
+    edge, is the private `_adjacency`: computed on first use, kept, and
+    read by `eig.build_sync_matrix`, `eig.triangle_consistency_score` and
+    `connected_component_labels`, so a graph is sorted once however many
+    of them run.  Its arrays are read-only and take 24 bytes per edge at
+    scipy's int32 index dtype (a 4-byte column index and an 8-byte slot for
+    each direction), plus 4 (n + 1).
     """
 
     n: int
@@ -216,6 +234,28 @@ class OffsetGraph:
     @property
     def m(self) -> int:
         return self.i.size
+
+    @cached_property
+    def _adjacency(self):
+        """(indptr, indices, slots): the CSR pattern of the 2m entries (i, j)
+        and (j, i), each row's columns ascending, in scipy's index dtype for
+        that many entries.  slots[k] names the entry at CSR position k: e for
+        edge e read as (i_e, j_e), m + e for (j_e, i_e).  The order is one
+        ``np.argsort`` of the keys row * n + col, which are distinct, so it
+        is the only one."""
+        n, m = self.n, self.m
+        idx = sp.get_index_dtype(maxval=max(n, 2 * m))
+        keys = np.empty(2 * m, dtype=np.int64)
+        for half, rows, cols in ((keys[:m], self.i, self.j), (keys[m:], self.j, self.i)):
+            np.multiply(rows, n, out=half)
+            half += cols
+        slots = np.argsort(keys)
+        indices = np.concatenate([self.j, self.i], dtype=idx)[slots]
+        counts = np.bincount(self.i, minlength=n)
+        counts += np.bincount(self.j, minlength=n)
+        indptr = np.zeros(n + 1, dtype=idx)
+        np.cumsum(counts, out=indptr[1:])
+        return _lock(indptr), _lock(indices), _lock(slots)
 
     def degrees(self) -> np.ndarray:
         # counted in place: np.bincount would first copy each read-only array
@@ -271,7 +311,8 @@ class SyncMatrix:
     against data, indices and indptr: complete graphs from n = 4 on), and on
     the CSR otherwise.  The copy is made on the first product, once, unless
     the matrix was built with it (`eig.build_sync_matrix` lays out complete
-    graphs in the dense array first and hands it over).  numpy
+    graphs in the dense array first and hands it over, and `eig.estimate_eig`
+    hands a shifted matrix the operand of the unshifted one).  numpy
     and scipy each link their own BLAS with its own thread pool, and a
     product from one pool inside a loop driven by the other oversubscribes
     the CPUs (at 2 threads, numpy's product inside ARPACK took a top eigenpair
@@ -486,15 +527,17 @@ def evaluate(graph: OffsetGraph, truth: GroundTruth, estimate: AngleEstimate,
 def connected_component_labels(graph: OffsetGraph):
     """(component count, per-vertex labels) of the measurement graph.
 
-    One CSR of the stored i -> j edges (m entries) suffices:
-    `connected_components(directed=False)` follows each entry both ways.
-    A graph with m = n(n - 1)/2 holds every pair (OffsetGraph forbids a
-    repeated one), so it is one component and skips the search."""
+    `connected_components(directed=False)` searches the graph's cached
+    symmetric pattern (`OffsetGraph._adjacency`), the one the sync matrix
+    and the triangle score read, so no pattern is built for it.  A graph
+    with m = n(n - 1)/2 holds every pair (OffsetGraph forbids a repeated
+    one), so it is one component and skips the search."""
     n = graph.n
     if 2 * graph.m == n * (n - 1):
         return 1, np.zeros(n, dtype=np.int32)
-    edges = sp.csr_matrix((np.ones(graph.m), (graph.i, graph.j)), shape=(n, n))
-    return _cc(edges, directed=False)
+    indptr, indices, _ = graph._adjacency
+    return _cc(sp.csr_matrix((np.ones(indices.size), indices, indptr), shape=(n, n)),
+               directed=False)
 
 
 def is_connected(graph: OffsetGraph) -> bool:

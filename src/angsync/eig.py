@@ -31,6 +31,7 @@ from .core import (
     SyncMatrix,
     ZeroMatrixError,
     check_budget,
+    check_integer,
     check_seed,
     reduce_angles,
 )
@@ -46,38 +47,35 @@ def build_sync_matrix(graph: OffsetGraph, diagonal_shift: float = 0.0) -> SyncMa
     """H_ij = exp(i delta_ij) at measured pairs, conjugate at (j, i), zero
     elsewhere; constant diagonal `diagonal_shift`.
 
-    Two routes give the same CSR arrays, in dtype and bytes.  A complete
-    graph whose edges ascend (m = n(n - 1)/2 and ascending (i, j) order, so
-    its edges are ``np.triu_indices(n, 1)``: every `gen_complete` instance,
-    `gen_clock` at edge probability 1 and any file written from them) is
-    laid out from n by `_complete_entries`, and the matrix takes the dense
-    array it was laid out in as its product operand.  Every other graph goes
-    through a COO matrix: the conjugate half comes first, so that in row r
-    its columns lie below r and the forward half's above, and when the
-    edges ascend every row arrives sorted and the CSR conversion sorts
-    nothing.  The 2m values are computed in place in one array, and the row
-    and column arrays are made in scipy's index dtype, so the COO
-    constructor copies neither."""
-    m = graph.m
-    if 2 * m == graph.n * (graph.n - 1) and graph._ascending:
+    Two routes give the same CSR arrays, in dtype and bytes, each row's
+    columns ascending.  A complete graph whose edges ascend (m = n(n - 1)/2
+    and ascending (i, j) order, so its edges are ``np.triu_indices(n, 1)``:
+    every `gen_complete` instance, `gen_clock` at edge probability 1 and any
+    file written from them) is laid out from n by `_complete_entries`, and
+    the matrix takes the dense array it was laid out in as its product
+    operand.  Every other graph takes the graph's cached sorted pattern
+    (`OffsetGraph._adjacency`): the 2m phasors, the forward half then its
+    conjugate, are gathered into CSR order by its slots, and the matrix gets
+    its own writable copies of the index arrays."""
+    n, m = graph.n, graph.m
+    if 2 * m == n * (n - 1) and graph._ascending:
         entries, D = _complete_entries(graph)
-        return SyncMatrix(n=graph.n, entries=entries,
+        return SyncMatrix(n=n, entries=entries,
                           diagonal_shift=float(diagonal_shift))._adopt_dense(D)
-    data = np.empty(2 * m, dtype=np.complex128)
-    w = data[m:]
-    np.multiply(1j, graph.delta, out=w)
-    np.exp(w, out=w)
-    np.conjugate(w, out=data[:m])
-    idx = sp.get_index_dtype(maxval=max(graph.n, 2 * m))
-    rows = np.concatenate([graph.j, graph.i], dtype=idx)
-    cols = np.concatenate([graph.i, graph.j], dtype=idx)
-    entries = sp.coo_matrix((data, (rows, cols)), shape=(graph.n, graph.n)).tocsr()
-    return SyncMatrix(n=graph.n, entries=entries, diagonal_shift=float(diagonal_shift))
+    indptr, indices, slots = graph._adjacency
+    w = np.empty(2 * m, dtype=np.complex128)
+    np.multiply(1j, graph.delta, out=w[:m])
+    np.exp(w[:m], out=w[:m])
+    np.conjugate(w[:m], out=w[m:])
+    entries = sp.csr_matrix((w[slots], indices.copy(), indptr.copy()), shape=(n, n))
+    entries.has_canonical_format = True  # sorted, no pair repeats
+    return SyncMatrix(n=n, entries=entries, diagonal_shift=float(diagonal_shift))
 
 
 def _complete_entries(graph: OffsetGraph):
     """(the CSR `entries`, ``entries.toarray()``) of a complete graph whose
-    edges are ``np.triu_indices(n, 1)``, with the bytes the COO route gives.
+    edges are ``np.triu_indices(n, 1)``, with the bytes the general route
+    gives.
 
     Row r of the dense array D holds the phasors of the run of edges
     (r, r+1..n-1) right of its diagonal; the conjugate half below it is
@@ -115,7 +113,7 @@ def _complete_entries(graph: OffsetGraph):
     indptr = np.arange(n + 1, dtype=idx)
     indptr *= n - 1
     entries = sp.csr_matrix((data, indices, indptr), shape=(n, n))
-    entries.has_canonical_format = True  # as the COO route's conversion leaves it
+    entries.has_canonical_format = True  # as the general route sets it
     return entries, D
 
 
@@ -268,17 +266,17 @@ def estimate_eig(graph: OffsetGraph, opts: EigOptions | None = None, *,
     """End-to-end spectral estimate: build H, take its top eigenpair, round to angles.
 
     A given `H` (see `sync_matrix_of`) is used instead of building one, and
-    `opts.diagonal_shift` is applied to its entries without a rebuild; with
-    no shift the products run on `H` itself, so its dense operand is shared
-    with the caller's other uses of it.  `diagnostics["wall_ms"]` then leaves
-    out the build.
+    `opts.diagonal_shift` is applied to its entries without a rebuild.  The
+    products run on `H`'s dense operand, when it has one, with or without a
+    shift, so it is shared with the caller's other uses of `H` and never
+    copied again.  `diagnostics["wall_ms"]` then leaves out the build.
     """
     opts = opts or EigOptions()
     t0 = time.perf_counter()
     H = sync_matrix_of(graph, H)
     if opts.diagonal_shift != 0.0:
         H = SyncMatrix(n=graph.n, entries=H.entries,
-                       diagonal_shift=float(opts.diagonal_shift))
+                       diagonal_shift=float(opts.diagonal_shift))._adopt_dense(H._dense)
     res = top_eigpair(H, tol=opts.tol, max_iters=opts.max_iters, seed=opts.seed)
     return _estimate("eig", t0, res.eigvec, res.eigvec, res.eigval, res.iterations,
                      res.residual, res.converged, diagonal_shift=opts.diagonal_shift)
@@ -297,6 +295,15 @@ def _row_entries(indptr, rows):
     return owner, starts[owner] + offset
 
 
+def _stored_offsets(graph: OffsetGraph, slots):
+    """The offset d_rc of each adjacency slot's entry (r, c): delta_e for
+    slot e, -delta_e for slot m + e."""
+    back = slots >= graph.m
+    d = graph.delta[slots - graph.m * back]
+    np.negative(d, out=d, where=back)
+    return d
+
+
 def triangle_consistency_score(graph: OffsetGraph, sample_size: int, seed: int = 0) -> float:
     """Mean of |e^{i(d_ij + d_jk + d_ki)} - 1| over sampled triangles.
 
@@ -307,19 +314,18 @@ def triangle_consistency_score(graph: OffsetGraph, sample_size: int, seed: int =
 
     The edges are taken in batches of 128: one ``intersect1d`` call finds
     the common neighbours of a whole batch, ordered by edge and then by
-    neighbour.  The triangles, and the order in which their values are
-    summed, are those of the edge-by-edge walk.
+    neighbour, from the rows of the graph's cached sorted pattern
+    (`OffsetGraph._adjacency`, shared with `build_sync_matrix`), and the
+    offsets are read only at the sampled triangles' entries.  The
+    triangles, and the order in which their values are summed, are those of
+    the edge-by-edge walk.  Raises InvalidInputError unless `sample_size`
+    is an integer >= 1.
     """
+    check_integer("sample_size", sample_size)
     if sample_size < 1:
         raise InvalidInputError("sample_size must be >= 1")
     check_seed(seed)
-    # CSR of signed offsets, S[a, b] = delta_ab and S[b, a] = -delta_ab, each
-    # row's columns ascending (the conversion sorts them; no pair repeats)
-    rows = np.concatenate([graph.i, graph.j])
-    cols = np.concatenate([graph.j, graph.i])
-    S = sp.csr_matrix((np.concatenate([graph.delta, -graph.delta]), (rows, cols)),
-                      shape=(graph.n, graph.n))
-    indptr, cols, signed = S.indptr, S.indices, S.data
+    indptr, cols, slots = graph._adjacency
 
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(29,)))
     order = rng.permutation(graph.m)
@@ -337,8 +343,9 @@ def triangle_consistency_score(graph: OffsetGraph, sample_size: int, seed: int =
         if take == 0:
             continue
         ka, kb = ka[:take], kb[:take]
-        # d_ab + d_bk + d_ka, with d_ka = -S[a, k]
-        s = graph.delta[batch][owner_a[ka]] + signed[at_b[kb]] - signed[at_a[ka]]
+        # d_ab + d_bk + d_ka, with d_ka = -d_ak
+        s = (graph.delta[batch][owner_a[ka]] + _stored_offsets(graph, slots[at_b[kb]])
+             - _stored_offsets(graph, slots[at_a[ka]]))
         # |e^{is} - 1| by hypot, as scalar abs() computes it: np.abs on a
         # complex array may take a SIMD path that differs in the last bit
         z = np.exp(1j * s) - 1.0

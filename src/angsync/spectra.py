@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, eigs
 
-from .core import InvalidInputError, SyncMatrix, TooLargeError
+from .core import InvalidInputError, SyncMatrix, TooLargeError, check_integer
 
 DENSE_LIMIT = 5000
 # ARPACK's relative residual bound for `top_k_spectrum`.  H is Hermitian, so
@@ -49,8 +49,7 @@ def top_k_spectrum(H: SyncMatrix, k: int) -> np.ndarray:
     `ArpackNoConvergence` propagates.
     """
     n = H.n
-    if not isinstance(k, (int, np.integer)):
-        raise InvalidInputError(f"k must be an integer, got {k!r}")
+    check_integer("k", k)
     if not 1 <= k <= n:
         raise InvalidInputError(f"k must lie in [1, {n}], got {k}")
     if k >= n - 1:

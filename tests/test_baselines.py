@@ -69,6 +69,12 @@ class TestLsqr:
         with pytest.raises(InvalidInputError, match="tol|max_iters"):
             estimate_lsqr(graph, opts)
 
+    @pytest.mark.parametrize("value", [2.5, 30.0])
+    def test_non_integer_max_iters_named(self, value):
+        graph, _ = gen_complete(CompleteModelParams(n=12, p=0.5, seed=3))
+        with pytest.raises(InvalidInputError, match="^max_iters must be an integer, got "):
+            estimate_lsqr(graph, LsqrOptions(max_iters=value))
+
     def test_noise_degrades_but_runs(self):
         graph, truth = gen_small_world(SmallWorldParams(n=100, epsilon=0.3, p=0.5, seed=9))
         est = estimate_lsqr(graph, LsqrOptions(tol=1e-10))

@@ -1,10 +1,10 @@
 """The complete-graph route of `build_sync_matrix` against the COO build.
 
 A complete graph whose edges ascend is laid out from n.  Its CSR arrays
-must be the bytes of the COO build (the route every other graph takes, kept
-here as the reference), the dense operand it carries from construction the
-bytes of ``entries.toarray()``, and lsqr's Laplacian the bytes of the
-sparse subtraction.
+must be the bytes of the COO build (kept here as the reference; the route
+every other graph takes gives them too), the dense operand it carries from
+construction the bytes of ``entries.toarray()``, and lsqr's Laplacian the
+bytes of the sparse subtraction.
 """
 
 import numpy as np
@@ -25,8 +25,8 @@ from angsync.generators import (
 
 
 def _coo_entries(graph):
-    """H's CSR through a COO matrix, as `build_sync_matrix` builds it for
-    graphs that are not complete with ascending edges."""
+    """H's CSR through a COO matrix, the bytes `build_sync_matrix` gives every
+    graph."""
     m = graph.m
     data = np.empty(2 * m, dtype=np.complex128)
     w = data[m:]

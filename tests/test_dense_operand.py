@@ -13,11 +13,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.sparse.linalg import eigs, eigsh
 
 from angsync.baselines import SdpOptions, estimate_sdp
-from angsync.core import SyncMatrix
-from angsync.eig import build_sync_matrix, top_eigpair
+from angsync.core import OffsetGraph, SyncMatrix
+from angsync.eig import EigOptions, build_sync_matrix, estimate_eig, round_to_angles, top_eigpair
 from angsync.generators import (
     ClockModelParams,
     CompleteModelParams,
@@ -113,6 +114,48 @@ def test_sdp_matches_csr_run(name, monkeypatch):
     f, f_ref = est.diagnostics["objective"], ref.diagnostics["objective"]
     assert f == pytest.approx(f_ref, rel=1e-12)
     assert abs(np.vdot(ref.eigvec, est.eigvec)) >= 1 - 1e-8
+
+
+def _shuffled(graph):
+    perm = np.random.default_rng(4).permutation(graph.m)
+    return OffsetGraph(n=graph.n, i=graph.i[perm], j=graph.j[perm], delta=graph.delta[perm])
+
+
+@pytest.mark.parametrize("route", ["complete", "shuffled"])
+def test_shifted_eig_shares_the_operand(route, monkeypatch):
+    graph = _complete(400, 0.1, 7)
+    if route == "shuffled":  # the general build: the operand is made on the first product
+        graph = _shuffled(graph)
+    opts = EigOptions(diagonal_shift=1.0, seed=3)
+    # the reference wraps the entries in a shifted matrix of its own, whose
+    # first product copies them into a fresh operand
+    ref_H = SyncMatrix(n=graph.n, entries=build_sync_matrix(graph).entries,
+                       diagonal_shift=1.0)
+    ref = top_eigpair(ref_H, tol=opts.tol, max_iters=opts.max_iters, seed=opts.seed)
+    ref_theta, ref_flagged = round_to_angles(ref.eigvec)
+
+    H = build_sync_matrix(graph)
+    copies = []
+    toarray = sp.csr_matrix.toarray
+
+    def spy(self, *args, **kwargs):
+        copies.append(self.shape)
+        return toarray(self, *args, **kwargs)
+
+    monkeypatch.setattr(sp.csr_matrix, "toarray", spy)
+    est = estimate_eig(graph, opts, H=H)
+    estimate_eig(graph, EigOptions(seed=3), H=H)
+    # the complete route lays its operand out at the build; the general one
+    # copies once, on H itself, for both runs
+    assert copies == ([] if route == "complete" else [(400, 400)])
+    assert est.theta_hat.tobytes() == ref_theta.tobytes()
+    assert est.eigvec.tobytes() == ref.eigvec.tobytes()
+    assert (est.top_eigval, est.iterations, est.residual) == (ref.eigval, ref.iterations,
+                                                              ref.residual)
+    diagnostics = dict(est.diagnostics)
+    del diagnostics["wall_ms"]
+    assert diagnostics == {"converged": ref.converged, "diagonal_shift": 1.0,
+                           "flagged": ref_flagged.tolist()}
 
 
 def test_sweep_bytes_independent_of_blas_threads(tmp_path):

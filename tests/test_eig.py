@@ -238,6 +238,22 @@ class TestEstimateEig:
     def test_default_budget(self):
         assert default_max_iters(400) >= 10 * 400 * np.log(400) - 1
 
+    @pytest.mark.parametrize("value", [2.5, 100.0, "50"])
+    def test_non_integer_max_iters_named(self, value):
+        # 2.5 used to run and report iterations=3, over its own budget
+        graph, _ = gen_complete(CompleteModelParams(n=20, p=0.5, seed=3))
+        with pytest.raises(InvalidInputError, match="^max_iters must be an integer, got "):
+            estimate_eig(graph, EigOptions(max_iters=value))
+        with pytest.raises(InvalidInputError, match="^max_iters must be an integer, got "):
+            top_eigpair(build_sync_matrix(graph), max_iters=value)
+
+    def test_numpy_integer_max_iters_accepted(self):
+        graph, _ = gen_complete(CompleteModelParams(n=20, p=0.5, seed=3))
+        got = estimate_eig(graph, EigOptions(tol=1e-14, max_iters=np.int64(3)))
+        want = estimate_eig(graph, EigOptions(tol=1e-14, max_iters=3))
+        assert got.iterations == want.iterations == 3
+        assert got.eigvec.tobytes() == want.eigvec.tobytes()
+
     def test_diagonal_shift_invariance(self):
         graph, _ = gen_complete(CompleteModelParams(n=60, p=0.5, seed=9))
         base = estimate_eig(graph, EigOptions(tol=1e-12, seed=5))
@@ -411,3 +427,15 @@ class TestTriangleConsistency:
         g = OffsetGraph(n=3, i=[0, 0, 1], j=[1, 2, 2], delta=[0, 0, 0])
         with pytest.raises(InvalidInputError):
             triangle_consistency_score(g, 0, seed=0)
+
+    @pytest.mark.parametrize("value", [2.5, 100.0])
+    def test_non_integer_sample_size_named(self, value):
+        # these used to raise TypeError from a slice
+        g = OffsetGraph(n=3, i=[0, 0, 1], j=[1, 2, 2], delta=[0, 0, 0])
+        with pytest.raises(InvalidInputError, match="^sample_size must be an integer, got "):
+            triangle_consistency_score(g, value, seed=0)
+
+    def test_numpy_integer_sample_size_accepted(self):
+        graph, _ = gen_small_world(SmallWorldParams(n=150, epsilon=0.2, p=0.5, seed=9))
+        assert (triangle_consistency_score(graph, np.int32(300), seed=1)
+                == triangle_consistency_score(graph, 300, seed=1))
