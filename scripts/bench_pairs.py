@@ -16,8 +16,9 @@ Writes `BENCH_<label>.json`: for each pair the gated end-to-end metrics of
 BENCHMARK.json, each run's correctness and the digests it printed (its first
 round's instances and outputs, so a record shows whether both sides computed
 the same thing) and whether the two sides printed the same digests; the
-number of such pairs; per metric the median and quartiles of each side and
-the number of pairs the working tree won; and the environment (CPU count,
+number of such pairs; per metric the median and quartiles of each side,
+the number of pairs the working tree won and its `verdict` (see `verdict`,
+which also prints); and the environment (CPU count,
 Python, numpy and scipy versions, both revisions, and the paths where the
 working tree differs from its HEAD).
 After the change is committed, pass `--base HEAD~1`.  Exits 1 when any run
@@ -109,6 +110,32 @@ def summarize(pairs, gated):
     return out
 
 
+def verdict(summary: dict, bound: float) -> str:
+    """One metric's verdict from its `summarize` entry and its BENCHMARK.json
+    bound (the share of the base median by which it may worsen):
+
+    - "gain": the change won at least nine tenths of the pairs, and its median
+      is better than the base's by more than the base's interquartile range;
+    - "worse": its median is worse than the base's by more than the bound;
+    - "unresolved": the base's interquartile range is wider than the bound,
+      so the runs spread too widely to tell;
+    - "held": otherwise.
+    """
+    base, change = summary["base"], summary["change"]
+    better = change["median"] - base["median"]
+    if summary["better"] == "lower":
+        better = -better
+    spread = base["q3"] - base["q1"]
+    allowed = bound * abs(base["median"])
+    if 10 * summary["pairs_won"] >= 9 * summary["pairs"] and better > spread:
+        return "gain"
+    if -better > allowed:
+        return "worse"
+    if spread > allowed:
+        return "unresolved"
+    return "held"
+
+
 def parse_seeds(text: str) -> list[int]:
     """The seeds of the inclusive range FIRST-LAST; ValueError if it is not one
     of at least two seeds."""
@@ -154,6 +181,7 @@ def main(argv=None) -> int:
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     gated = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]}
     seconds = bench["run_seconds"]
     tmp = Path(tempfile.mkdtemp(prefix="bench_pairs_", dir=args.tmpdir))
     try:
@@ -178,10 +206,13 @@ def main(argv=None) -> int:
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
 
+    summary = summarize(pairs, gated)
+    for name, s in summary.items():
+        s["verdict"] = verdict(s, bounds[name])
     record = {
         "workload": args.workload,
         "seconds": seconds,
-        "summary": summarize(pairs, gated),
+        "summary": summary,
         "all_correct": all(p[s]["correct"] and not p[s]["failed"]
                            for p in pairs for s in ("base", "change")),
         "same_digests_pairs": sum(p["same_digests"] for p in pairs),
@@ -205,7 +236,8 @@ def main(argv=None) -> int:
         print(f"{name}: base {s['base']['median']:.4g} "
               f"({s['base']['q1']:.4g}-{s['base']['q3']:.4g}) -> change "
               f"{s['change']['median']:.4g} ({s['change']['q1']:.4g}-"
-              f"{s['change']['q3']:.4g}), {s['pairs_won']}/{s['pairs']} pairs won")
+              f"{s['change']['q3']:.4g}), {s['pairs_won']}/{s['pairs']} pairs won, "
+              f"{s['verdict']}")
     print(f"same digests on {record['same_digests_pairs']}/{len(pairs)} pairs")
     print(f"wrote {out}")
     return 0 if record["all_correct"] else 1

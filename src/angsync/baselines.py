@@ -103,9 +103,9 @@ def _laplacian(H: SyncMatrix) -> sp.csr_matrix:
     degrees.  When it stores every off-diagonal entry and has a dense
     operand, every row of D - H is full: its values are 0 - H, as the sparse
     subtraction computes them, with the degrees on the diagonal, and its
-    pattern follows from n."""
+    pattern follows from n, so H's own CSR is never read."""
     n = H.n
-    deg = np.diff(H.entries.indptr).astype(np.float64)
+    deg = H._degrees()
     if H.nnz_offdiag != n * (n - 1) or H._dense is None:
         return (sp.diags(deg) - H.entries).tocsr()
     data = np.subtract(0.0, H._dense)
@@ -210,7 +210,7 @@ def estimate_sdp(graph: OffsetGraph, opts: SdpOptions | None = None, *,
 
     t_start = time.perf_counter()
     H = eig.sync_matrix_of(graph, H)
-    step0 = 1.0 / float(np.diff(H.entries.indptr).max(initial=1))  # 1 / the top degree
+    step0 = 1.0 / float(H._degrees().max(initial=1))  # 1 / the top degree
     rng = np.random.default_rng(np.random.SeedSequence(opts.seed, spawn_key=(41,)))
 
     V0 = _normalize_rows(rng.normal(size=(n, r)) + 1j * rng.normal(size=(n, r)))

@@ -179,8 +179,10 @@ def _sweep_task(task):
                      "pred_lambda1_mu": theory.lambda1_law(n, p).value,
                      "pred_p_threshold": theory.p_threshold_complete(n)}
     else:
+        # sqrt(n / 2m) is undefined on a graph without edges: an empty cell
         predicted = {"np2": 2.0 * graph.m * p * p / n, "pred_rho2": None, "pred_lambda1_mu": None,
-                     "pred_p_threshold": float(np.sqrt(n / (2.0 * graph.m)))}
+                     "pred_p_threshold": (float(np.sqrt(n / (2.0 * graph.m)))
+                                          if graph.m else None)}
     H = eig.build_sync_matrix(graph)
     rows = []
     for method, opts in solvers:

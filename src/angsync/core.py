@@ -16,6 +16,7 @@ the same IEEE operations in the same order, so every result keeps its bits.
 
 from __future__ import annotations
 
+import copy
 import io
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -23,6 +24,7 @@ from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg.blas import zgemv
 from scipy.sparse.csgraph import connected_components as _cc
 
@@ -299,7 +301,40 @@ class GroundTruth:
             raise InvalidInputError("good edge offset differs from planted angles")
 
 
-@dataclass(frozen=True)
+def _complete_csr(D: np.ndarray) -> sp.csr_matrix:
+    """The CSR of every off-diagonal entry of D, each row's columns
+    ascending, with the bytes the general build of `eig.build_sync_matrix`
+    gives when D is a complete graph's dense array.
+
+    Every row is full, so the data is D's off-diagonal in row-major order,
+    and the column indices and row pointers follow from n.  Below the
+    diagonal the general build stores the conjugate of each phasor, which
+    for a zero offset is 1 - 0j where D, as ``toarray`` does, holds 1 + 0j;
+    the entries with a zero imaginary part below the diagonal are therefore
+    taken as the conjugates of their mirrors (no other phasor has a zero
+    part)."""
+    n = D.shape[0]
+    nnz = n * (n - 1)
+    data = np.empty(nnz, dtype=np.complex128)
+    # drop D's first entry and view the rest as n - 1 rows of n + 1 entries:
+    # each row ends in a diagonal entry, and the others are the off-diagonal
+    np.copyto(data.reshape(n - 1, n), D.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :n])
+    idx = sp.get_index_dtype(maxval=max(n, nnz))
+    # the columns of that view's row k are k + 1, k + 2, ... mod n
+    cols = np.arange(n, dtype=idx)
+    indices = sliding_window_view(np.concatenate([cols, cols]), n)[1:n].reshape(-1)
+    indptr = np.arange(n + 1, dtype=idx)
+    indptr *= n - 1
+    zero = np.flatnonzero(data.imag == 0.0)
+    row, col = zero // max(n - 1, 1), indices[zero]
+    below = col < row
+    data[zero[below]] = np.conjugate(D[col[below], row[below]])
+    entries = sp.csr_matrix((data, indices, indptr), shape=(n, n))
+    entries.has_canonical_format = True  # as the general build sets it
+    return entries
+
+
+@dataclass(frozen=True, init=False, eq=False)
 class SyncMatrix:
     """Hermitian matrix with unit-modulus entries at measured pairs.
 
@@ -309,10 +344,12 @@ class SyncMatrix:
     Products with H (`matvec`, `matmat`) run on a dense copy of `entries`
     when that copy takes no more bytes than the CSR arrays (16 n^2 bytes
     against data, indices and indptr: complete graphs from n = 4 on), and on
-    the CSR otherwise.  The copy is made on the first product, once, unless
-    the matrix was built with it (`eig.build_sync_matrix` lays out complete
-    graphs in the dense array first and hands it over, and `eig.estimate_eig`
-    hands a shifted matrix the operand of the unshifted one).  numpy
+    the CSR otherwise.  A matrix made from `entries` copies them on its first
+    product, once.  A complete graph's matrix (`_of_dense`, which
+    `eig.build_sync_matrix` uses) is held as that dense array alone, 16 n^2
+    bytes instead of about 36 n^2 for both layouts: its `entries` are laid
+    out from the array on first read, with the bytes the general build
+    gives, and its nonzero count and row counts follow from n.  numpy
     and scipy each link their own BLAS with its own thread pool, and a
     product from one pool inside a loop driven by the other oversubscribes
     the CPUs (at 2 threads, numpy's product inside ARPACK took a top eigenpair
@@ -323,15 +360,51 @@ class SyncMatrix:
     """
 
     n: int
-    entries: sp.csr_matrix
     diagonal_shift: float = 0.0
 
-    def __post_init__(self):
-        if not np.isfinite(self.diagonal_shift):
+    def __init__(self, n: int, entries: sp.csr_matrix, diagonal_shift: float = 0.0):
+        self._hold(n, diagonal_shift, entries=entries)
+
+    @classmethod
+    def _of_dense(cls, D: np.ndarray, diagonal_shift: float = 0.0) -> SyncMatrix:
+        """The matrix whose off-diagonal is D's, every entry of it stored,
+        held as D alone; below n = 4, where the CSR is the smaller layout, as
+        its CSR.  D must be what ``entries.toarray()`` would give, byte for
+        byte: zero diagonal, and 1 + 0j where the CSR holds 1 - 0j (see
+        `_complete_csr`)."""
+        H = cls.__new__(cls)
+        H._hold(D.shape[0], diagonal_shift, _dense=D)
+        if not H._dense_fits():
+            H._hold(H.n, diagonal_shift, entries=H.entries, _dense=None)
+        return H
+
+    def _with_shift(self, diagonal_shift: float) -> SyncMatrix:
+        """This matrix with another diagonal shift, holding the same arrays.
+        The dense operand, when one is used, is made on self first, so the
+        two share it."""
+        self._dense  # made on self when it is not held yet
+        H = copy.copy(self)
+        H._hold(self.n, diagonal_shift)
+        return H
+
+    def _hold(self, n: int, diagonal_shift: float, **layouts) -> None:
+        if not np.isfinite(diagonal_shift):
             raise InvalidInputError("diagonal_shift must be finite")
+        vars(self).update(n=n, diagonal_shift=diagonal_shift, **layouts)
+
+    @cached_property
+    def entries(self) -> sp.csr_matrix:
+        """The off-diagonal nonzeros as CSR, each row's columns ascending:
+        given at construction, or laid out from the dense array on this first
+        read by a matrix held as one."""
+        return _complete_csr(self._dense)
 
     def _dense_fits(self) -> bool:
-        a = self.entries
+        a = vars(self).get("entries")
+        if a is None:  # `_complete_csr`'s layout, counted from n
+            nnz = self.nnz_offdiag
+            index = np.dtype(sp.get_index_dtype(maxval=max(self.n, nnz))).itemsize
+            return 16 * self.n ** 2 <= 16 * nnz + index * (nnz + self.n + 1)
         return 16 * self.n ** 2 <= a.data.nbytes + a.indices.nbytes + a.indptr.nbytes
 
     @cached_property
@@ -339,12 +412,12 @@ class SyncMatrix:
         """`entries` as a dense array when that is no larger than the CSR, else None."""
         return self.entries.toarray() if self._dense_fits() else None
 
-    def _adopt_dense(self, D: np.ndarray) -> SyncMatrix:
-        """Take `D`, equal to ``entries.toarray()`` byte for byte, as the dense
-        operand when one is used, so no product copies `entries`; returns self."""
-        if self._dense_fits():
-            self.__dict__["_dense"] = D  # the value the cached property would compute
-        return self
+    def _degrees(self) -> np.ndarray:
+        """The row counts of `entries`, as floats: the degrees of H's graph."""
+        a = vars(self).get("entries")
+        if a is None:
+            return np.full(self.n, self.n - 1, dtype=np.float64)
+        return np.diff(a.indptr).astype(np.float64)
 
     def _shifted(self, out: np.ndarray, v: np.ndarray) -> np.ndarray:
         if self.diagonal_shift != 0.0:
@@ -365,14 +438,18 @@ class SyncMatrix:
         return self._shifted(self.entries @ V if D is None else D @ V, V)
 
     def to_dense(self) -> np.ndarray:
-        H = np.asarray(self.entries.todense(), dtype=np.complex128)
+        """H as a new array: a copy of the dense operand when H holds one, else
+        of ``entries.toarray()``, with `diagonal_shift` on the diagonal."""
+        D = vars(self).get("_dense")
+        H = np.asarray(self.entries.toarray() if D is None else D.copy(), dtype=np.complex128)
         if self.diagonal_shift != 0.0:
             H[np.diag_indices(self.n)] += self.diagonal_shift
         return H
 
     @property
     def nnz_offdiag(self) -> int:
-        return self.entries.nnz
+        a = vars(self).get("entries")
+        return self.n * (self.n - 1) if a is None else a.nnz
 
     def validate(self, atol: float = 1e-12) -> None:
         a = self.entries

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from numpy.lib.stride_tricks import sliding_window_view
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigs
 
 from .core import (
@@ -39,7 +38,8 @@ from .core import (
 ZERO_MAGNITUDE = 1e-14
 
 
-_TILE = 64  # rows of the conjugate half that `_complete_entries` fills at a time
+_PHASORS = 4096  # phasors that `_complete_operand` computes at a time (64 KiB)
+_TILE = 64  # side of the tiles of the conjugate half that `_complete_operand` fills
 _LOWER = np.tri(_TILE, k=-1, dtype=bool)  # strictly below the diagonal of a tile
 
 
@@ -47,21 +47,20 @@ def build_sync_matrix(graph: OffsetGraph, diagonal_shift: float = 0.0) -> SyncMa
     """H_ij = exp(i delta_ij) at measured pairs, conjugate at (j, i), zero
     elsewhere; constant diagonal `diagonal_shift`.
 
-    Two routes give the same CSR arrays, in dtype and bytes, each row's
+    Two routes give the same `entries`, in dtype and bytes, each row's
     columns ascending.  A complete graph whose edges ascend (m = n(n - 1)/2
     and ascending (i, j) order, so its edges are ``np.triu_indices(n, 1)``:
     every `gen_complete` instance, `gen_clock` at edge probability 1 and any
-    file written from them) is laid out from n by `_complete_entries`, and
-    the matrix takes the dense array it was laid out in as its product
-    operand.  Every other graph takes the graph's cached sorted pattern
-    (`OffsetGraph._adjacency`): the 2m phasors, the forward half then its
-    conjugate, are gathered into CSR order by its slots, and the matrix gets
-    its own writable copies of the index arrays."""
+    file written from them) is laid out from n by `_complete_operand` into
+    one dense array, and the matrix is held as that array alone (16 n^2
+    bytes; `SyncMatrix._of_dense`): its CSR is laid out from it only when
+    `entries` is first read.  Every other graph takes the graph's cached
+    sorted pattern (`OffsetGraph._adjacency`): the 2m phasors, the forward
+    half then its conjugate, are gathered into CSR order by its slots, and
+    the matrix gets its own writable copies of the index arrays."""
     n, m = graph.n, graph.m
     if 2 * m == n * (n - 1) and graph._ascending:
-        entries, D = _complete_entries(graph)
-        return SyncMatrix(n=n, entries=entries,
-                          diagonal_shift=float(diagonal_shift))._adopt_dense(D)
+        return SyncMatrix._of_dense(_complete_operand(graph), float(diagonal_shift))
     indptr, indices, slots = graph._adjacency
     w = np.empty(2 * m, dtype=np.complex128)
     np.multiply(1j, graph.delta, out=w[:m])
@@ -72,49 +71,41 @@ def build_sync_matrix(graph: OffsetGraph, diagonal_shift: float = 0.0) -> SyncMa
     return SyncMatrix(n=n, entries=entries, diagonal_shift=float(diagonal_shift))
 
 
-def _complete_entries(graph: OffsetGraph):
-    """(the CSR `entries`, ``entries.toarray()``) of a complete graph whose
-    edges are ``np.triu_indices(n, 1)``, with the bytes the general route
-    gives.
+def _complete_operand(graph: OffsetGraph) -> np.ndarray:
+    """The dense array of H, byte for byte what ``entries.toarray()`` gives,
+    of a complete graph whose edges are ``np.triu_indices(n, 1)``.
 
-    Row r of the dense array D holds the phasors of the run of edges
-    (r, r+1..n-1) right of its diagonal; the conjugate half below it is
-    filled tile by tile from the transposed upper half.  Every CSR row is
-    full, so the CSR data is D's off-diagonal in row-major order and the
-    column indices and row pointers follow from n.  The phasors are computed
-    in the back half of the data array, which D's off-diagonal then
-    overwrites, so no separate phasor array is held."""
+    Row r holds the phasors of the run of edges (r, r+1..n-1) right of its
+    diagonal.  They are computed a block of whole rows at a time, at most
+    `_PHASORS` of them unless one row has more, in one buffer that every
+    block reuses; the conjugate half below the diagonal is then filled tile
+    by tile from the transposed upper half."""
     n, m = graph.n, graph.m
-    data = np.empty(2 * m, dtype=np.complex128)
-    w = data[m:]
-    np.multiply(1j, graph.delta, out=w)
-    np.exp(w, out=w)
     D = np.zeros((n, n), dtype=np.complex128)
-    s = 0
-    for r in range(n - 1):
-        D[r, r + 1:] = w[s:s + n - 1 - r]
-        s += n - 1 - r
+    rows = max(1, _PHASORS // max(n - 1, 1))
+    buf = np.empty(min(m, rows * (n - 1)), dtype=np.complex128)
+    s = 0  # the first edge of row a
+    for a in range(0, n - 1, rows):
+        b = min(a + rows, n - 1)
+        w = buf[:(b - a) * (2 * n - 1 - a - b) // 2]  # the edges of rows a..b-1
+        np.multiply(1j, graph.delta[s:s + w.size], out=w)
+        np.exp(w, out=w)
+        s += w.size
+        for r in range(a, b):
+            D[r, r + 1:] = w[:n - 1 - r]
+            w = w[n - 1 - r:]
     for a in range(0, n, _TILE):
         b = min(a + _TILE, n)
-        np.conjugate(D[:a, a:b].T, out=D[a:b, :a])
+        # square tiles: numpy buffers a transposed operand, one tile at most
+        for c in range(0, a, _TILE):
+            np.conjugate(D[c:c + _TILE, a:b].T, out=D[a:b, c:c + _TILE])
         np.conjugate(D[a:b, a:b].T, out=D[a:b, a:b], where=_LOWER[:b - a, :b - a])
-    # drop D's first entry and view the rest as n - 1 rows of n + 1 entries:
-    # each row ends in a diagonal entry, and the others are the off-diagonal
-    np.copyto(data.reshape(n - 1, n), D.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :n])
     # toarray adds each entry to a zero, which turns the conjugate 1 - 0j of
     # a zero offset into 1 + 0j (no other phasor has a zero part)
     if not graph.delta.all():
         zero = np.flatnonzero(graph.delta == 0.0)
         D[graph.j[zero], graph.i[zero]] += 0.0
-    idx = sp.get_index_dtype(maxval=max(n, 2 * m))
-    # the columns of that view's row k are k + 1, k + 2, ... mod n
-    cols = np.arange(n, dtype=idx)
-    indices = sliding_window_view(np.concatenate([cols, cols]), n)[1:n].reshape(-1)
-    indptr = np.arange(n + 1, dtype=idx)
-    indptr *= n - 1
-    entries = sp.csr_matrix((data, indices, indptr), shape=(n, n))
-    entries.has_canonical_format = True  # as the general route sets it
-    return entries, D
+    return D
 
 
 def sync_matrix_of(graph: OffsetGraph, H: SyncMatrix | None = None) -> SyncMatrix:
@@ -269,14 +260,14 @@ def estimate_eig(graph: OffsetGraph, opts: EigOptions | None = None, *,
     `opts.diagonal_shift` is applied to its entries without a rebuild.  The
     products run on `H`'s dense operand, when it has one, with or without a
     shift, so it is shared with the caller's other uses of `H` and never
-    copied again.  `diagnostics["wall_ms"]` then leaves out the build.
+    copied again, and a complete graph's CSR is never laid out.
+    `diagnostics["wall_ms"]` then leaves out the build.
     """
     opts = opts or EigOptions()
     t0 = time.perf_counter()
     H = sync_matrix_of(graph, H)
     if opts.diagonal_shift != 0.0:
-        H = SyncMatrix(n=graph.n, entries=H.entries,
-                       diagonal_shift=float(opts.diagonal_shift))._adopt_dense(H._dense)
+        H = H._with_shift(float(opts.diagonal_shift))
     res = top_eigpair(H, tol=opts.tol, max_iters=opts.max_iters, seed=opts.seed)
     return _estimate("eig", t0, res.eigvec, res.eigvec, res.eigval, res.iterations,
                      res.residual, res.converged, diagonal_shift=opts.diagonal_shift)

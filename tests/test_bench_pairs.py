@@ -157,7 +157,8 @@ def test_same_digests(change, same):
 def test_record_counts_pairs_with_same_digests(monkeypatch, tmp_path, capsys,
                                                differ_at, expected):
     (tmp_path / "BENCHMARK.json").write_text(json.dumps(
-        {"run_seconds": 1, "end_to_end": [{"name": "setup_s", "better": "lower"}]}))
+        {"run_seconds": 1,
+         "end_to_end": [{"name": "setup_s", "better": "lower", "bound": 0.25}]}))
     monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
     monkeypatch.setattr(bench_pairs, "workloads", lambda: ("generate-solve",))
     monkeypatch.setattr(bench_pairs, "git", lambda *args: "")
@@ -177,4 +178,55 @@ def test_record_counts_pairs_with_same_digests(monkeypatch, tmp_path, capsys,
     assert record["same_digests_pairs"] == expected
     assert [p["same_digests"] for p in record["pairs"]] == [
         p["seed"] != differ_at for p in record["pairs"]]
-    assert f"same digests on {expected}/3 pairs" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert f"same digests on {expected}/3 pairs" in out
+    assert record["summary"]["setup_s"]["verdict"] == "held"  # equal runs on both sides
+    assert "0/3 pairs won, held\n" in out
+
+
+def _summary(base, change, better="lower"):
+    return bench_pairs.summarize(_pairs(base, change), {"m": better})["m"]
+
+
+BASE = [10.0, 10.2, 10.4, 10.6, 10.8, 11.0, 11.2, 11.4, 11.6, 11.8]  # median 10.9, IQR 0.9
+
+
+class TestVerdict:
+    """The rule of the choosing-metrics guide, with each metric's bound."""
+
+    @pytest.mark.parametrize("better, sign", [("lower", -1), ("higher", 1)])
+    def test_gain(self, better, sign):
+        change = [b + sign * 1.0 for b in BASE]  # all ten pairs won, by more than the IQR
+        assert bench_pairs.verdict(_summary(BASE, change, better), 0.1) == "gain"
+
+    def test_gain_needs_nine_of_ten_pairs(self):
+        change = [b - 1.0 for b in BASE[:8]] + [b + 0.1 for b in BASE[8:]]
+        s = _summary(BASE, change)
+        assert s["pairs_won"] == 8
+        assert bench_pairs.verdict(s, 0.1) == "held"
+        change[8] = BASE[8] - 1.0
+        assert bench_pairs.verdict(_summary(BASE, change), 0.1) == "gain"
+
+    def test_gain_needs_medians_apart_by_more_than_base_iqr(self):
+        change = [b - 0.5 for b in BASE]  # every pair won, medians 0.5 apart, IQR 0.9
+        s = _summary(BASE, change)
+        assert s["pairs_won"] == 10
+        assert bench_pairs.verdict(s, 0.1) == "held"
+
+    @pytest.mark.parametrize("better, sign", [("lower", 1), ("higher", -1)])
+    def test_worse_beyond_bound(self, better, sign):
+        change = [b + sign * 1.2 for b in BASE]  # 1.2 worse against an allowed 1.09
+        assert bench_pairs.verdict(_summary(BASE, change, better), 0.1) == "worse"
+        change = [b + sign * 1.0 for b in BASE]  # 1.0 worse: within the bound
+        assert bench_pairs.verdict(_summary(BASE, change, better), 0.1) == "held"
+
+    def test_unresolved_when_base_spreads_beyond_bound(self):
+        base = [5.0, 6.0, 8.0, 9.0, 10.0, 11.0, 12.0, 14.0, 15.0, 16.0]  # IQR 5.25 on 10.5
+        change = list(base)
+        assert bench_pairs.verdict(_summary(base, change), 0.25) == "unresolved"
+        assert bench_pairs.verdict(_summary(base, change), 0.6) == "held"
+
+    def test_worse_wins_over_unresolved(self):
+        base = [5.0, 6.0, 8.0, 9.0, 10.0, 11.0, 12.0, 14.0, 15.0, 16.0]
+        change = [b + 5.0 for b in base]
+        assert bench_pairs.verdict(_summary(base, change), 0.25) == "worse"

@@ -379,6 +379,16 @@ class TestSweep:
                 assert float(row["rho1"]) > 0.999
         assert len(read_csv(tmp_path / "sw.agg.csv")) == 4
 
+    def test_edgeless_small_world_leaves_threshold_empty(self, tmp_path):
+        # n=5 at epsilon=0.01 draws no edge: sqrt(n / 2m) has no value
+        out = tmp_path / "x.csv"
+        assert run(["sweep", "--model", "small-world", "--n", "5", "--epsilon", "0.01",
+                    "--p", "0.5", "--trials", "1", "--method", "lsqr",
+                    "--out", str(out)]) == 0
+        (row,) = read_csv(out)
+        assert int(row["m"]) == 0 and float(row["np2"]) == 0.0
+        assert row["pred_p_threshold"] == row["pred_rho2"] == row["pred_lambda1_mu"] == ""
+
     def test_empty_grid_exits_2(self, tmp_path, capsys):
         code = run(["sweep", "--model", "complete", "--n", "10", "--p", ",",
                     "--trials", "1", "--out", str(tmp_path / "x.csv")])

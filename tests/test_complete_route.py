@@ -1,19 +1,23 @@
 """The complete-graph route of `build_sync_matrix` against the COO build.
 
-A complete graph whose edges ascend is laid out from n.  Its CSR arrays
-must be the bytes of the COO build (kept here as the reference; the route
-every other graph takes gives them too), the dense operand it carries from
-construction the bytes of ``entries.toarray()``, and lsqr's Laplacian the
-bytes of the sparse subtraction.
+A complete graph whose edges ascend is laid out from n into one dense
+array, and the matrix holds that array alone.  Its CSR arrays, laid out
+when `entries` is first read, must be the bytes of the COO build (kept here
+as the reference; the route every other graph takes gives them too), the
+dense operand the bytes of ``entries.toarray()``, and lsqr's Laplacian the
+bytes of the sparse subtraction.  No solver reads the CSR.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from angsync.baselines import _laplacian
+from angsync import cli, core, eig
+from angsync.baselines import LsqrOptions, SdpOptions, _laplacian, estimate_lsqr, estimate_sdp
 from angsync.core import OffsetGraph
-from angsync.eig import build_sync_matrix
+from angsync.eig import EigOptions, build_sync_matrix, estimate_eig
 from angsync.generators import (
     ClockModelParams,
     CompleteModelParams,
@@ -22,6 +26,7 @@ from angsync.generators import (
     gen_complete,
     gen_small_world,
 )
+from angsync.spectra import full_spectrum
 
 
 def _coo_entries(graph):
@@ -75,10 +80,86 @@ def test_entries_and_operand_bytes(name):
     graph = COMPLETE[name]()
     assert graph._ascending
     H = build_sync_matrix(graph)
+    assert "_dense" in vars(H)  # carried from construction, not copied later
+    assert "entries" not in vars(H)  # laid out on first read
+    # answered from n while the CSR is not laid out
+    nnz, degrees, fits = H.nnz_offdiag, H._degrees(), H._dense_fits()
     ref = _coo_entries(graph)
     assert _csr_bytes(H.entries) == _csr_bytes(ref)
-    assert "_dense" in vars(H)  # carried from construction, not copied later
+    assert H.entries.has_canonical_format is ref.has_canonical_format is True
+    assert H.entries is H.entries  # laid out once
     assert H._dense.tobytes() == ref.toarray().tobytes()
+    assert nnz == H.nnz_offdiag == ref.nnz
+    assert degrees.tobytes() == np.diff(ref.indptr).astype(np.float64).tobytes()
+    assert fits is H._dense_fits() is True
+
+
+@pytest.mark.parametrize("name", ["complete-60", "zero-offsets", "clock-p1"])
+def test_entries_read_after_the_solves(name):
+    graph = COMPLETE[name]()
+    H = build_sync_matrix(graph)
+    estimate_eig(graph, EigOptions(diagonal_shift=0.5), H=H)
+    estimate_lsqr(graph, H=H)
+    assert _csr_bytes(H.entries) == _csr_bytes(_coo_entries(graph))
+    assert H._dense.tobytes() == _coo_entries(graph).toarray().tobytes()
+
+
+def _no_csr(monkeypatch):
+    """Make laying out a complete graph's CSR, and any CSR -> dense copy, fail."""
+    def fail(*args, **kwargs):
+        raise AssertionError("laid out or copied a complete graph's CSR")
+
+    monkeypatch.setattr(core, "_complete_csr", fail)
+    monkeypatch.setattr(sp.csr_matrix, "toarray", fail)
+
+
+@pytest.mark.parametrize("solve", [
+    lambda g, H: estimate_eig(g, H=H),
+    lambda g, H: estimate_eig(g, EigOptions(diagonal_shift=1.0), H=H),
+    lambda g, H: estimate_eig(g, EigOptions(diagonal_shift=1.0)),
+    lambda g, H: estimate_lsqr(g, LsqrOptions(), H=H),
+    lambda g, H: estimate_sdp(g, SdpOptions(max_iters=20), H=H),
+    lambda g, H: full_spectrum(H),
+], ids=["eig", "eig-shifted", "eig-shifted-own-build", "lsqr", "sdp", "full-spectrum"])
+def test_solvers_never_lay_out_the_csr(solve, monkeypatch):
+    graph = _complete(60)
+    H = build_sync_matrix(graph)
+    _no_csr(monkeypatch)
+    solve(graph, H)
+    assert "entries" not in vars(H)
+
+
+def test_sweep_never_lays_out_the_csr(monkeypatch, tmp_path):
+    built = []
+    build = eig.build_sync_matrix
+
+    def keep(*args, **kwargs):
+        built.append(build(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(eig, "build_sync_matrix", keep)
+    _no_csr(monkeypatch)
+    assert cli.main(["sweep", "--model", "complete", "--n", "40", "--p", "0.5",
+                     "--trials", "2", "--method", "eig,lsqr,sdp",
+                     "--out", str(tmp_path / "s.csv")]) == 0
+    assert len(built) == 2 and not any("entries" in vars(H) for H in built)
+
+
+def test_build_holds_one_n_squared_array():
+    """The build's traced peak is the dense array plus buffers of a fixed
+    size: at most 1.1 times 16 n^2 bytes at n = 400, where holding the CSR
+    too takes about 2.25 times."""
+    n = 400
+    graph = _complete(n)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        H = build_sync_matrix(graph)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert H._dense.nbytes == 16 * n * n
+    assert peak <= 1.1 * 16 * n * n
 
 
 def test_zero_offset_case_has_signed_zeros():
@@ -142,3 +223,22 @@ def test_laplacian_bytes(build):
     deg = np.diff(H.entries.indptr).astype(np.float64)
     ref = (sp.diags(deg) - H.entries).tocsr()
     assert _csr_bytes(_laplacian(H)) == _csr_bytes(ref)
+
+
+@pytest.mark.parametrize("shift", [0.0, 0.7])
+@pytest.mark.parametrize("build", [
+    lambda: _complete(60),
+    lambda: _complete(3),
+    _zero_offsets,
+    _shuffled_complete,
+    lambda: gen_small_world(SmallWorldParams(n=120, epsilon=0.2, p=0.5, seed=3))[0],
+], ids=["complete-60", "complete-3", "zero-offsets", "shuffled-complete", "small-world"])
+def test_to_dense_bytes(build, shift):
+    graph = build()
+    H = build_sync_matrix(graph, diagonal_shift=shift)
+    got = H.to_dense()
+    ref = _coo_entries(graph).toarray()
+    ref[np.diag_indices(graph.n)] += shift
+    assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+    if H._dense is not None:
+        assert not np.shares_memory(got, H._dense)
