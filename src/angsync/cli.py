@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -22,6 +23,7 @@ from . import baselines, eig, generators, spectra, theory
 from .core import (
     AngsyncError,
     GroundTruth,
+    ZeroMatrixError,
     check_budget,
     check_seed,
     evaluate,
@@ -170,7 +172,10 @@ def _sweep_task(task):
     """One (p, trial) cell of a sweep; returns its output row dicts, one per method.
 
     The instance's sync matrix is built once and shared by every method, so
-    a row's wall_ms leaves out the build."""
+    a row's wall_ms leaves out the build.  A method that finds the matrix
+    zero (an instance without edges) gets a row with the instance and
+    predictor columns, its solver columns left empty, and the reason under
+    "skipped"; the other methods and instances go on."""
     model, params, solvers, deterministic = task
     n, p, seed = params.n, params.p, params.seed
     graph, truth = _generate(params)
@@ -186,17 +191,49 @@ def _sweep_task(task):
     H = eig.build_sync_matrix(graph)
     rows = []
     for method, opts in solvers:
-        est = baselines.solve(graph, method, opts, H=H)
-        wall_ms = 0.0 if deterministic else est.diagnostics["wall_ms"]
+        row = {"model": model, "n": n, "m": graph.m, "p": p, "seed": seed, "method": method,
+               **predicted}
+        try:
+            est = baselines.solve(graph, method, opts, H=H)
+        except ZeroMatrixError as exc:
+            rows.append({**row, "skipped": str(exc)})
+            continue
         report = evaluate(graph, truth, est)
         rows.append({
-            "model": model, "n": n, "m": graph.m, "p": p, "seed": seed,
-            "method": method, "rho1": report.rho1, "rho2": report.rho2,
-            "lambda1": est.top_eigval,
+            **row, "rho1": report.rho1, "rho2": report.rho2, "lambda1": est.top_eigval,
             "objective": baselines.sdp_objective(graph, est.theta_hat),
-            "iterations": est.iterations, "wall_ms": wall_ms, **predicted,
+            "iterations": est.iterations,
+            "wall_ms": 0.0 if deterministic else est.diagnostics["wall_ms"],
         })
     return rows
+
+
+# The variables that set the BLAS thread count (OpenBLAS, OpenMP, MKL).  A
+# sweep's pool workers start with each at 1: numpy and scipy each load their
+# own BLAS with a pool of threads, so N workers at the default count run
+# several threads a CPU and wait on each other.
+_BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _pool_map(fn, tasks, workers: int) -> list:
+    """[fn(t) for t in tasks], in order, run by `workers` spawned processes
+    whose BLAS runs on one thread.  The thread variables are set only while
+    the pool runs, as its workers read them when they load BLAS, and then
+    restored: this process's environment and threads stay as they were."""
+    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import get_context
+
+    saved = {name: os.environ.get(name) for name in _BLAS_THREADS}
+    os.environ.update(dict.fromkeys(_BLAS_THREADS, "1"))
+    try:
+        with ProcessPoolExecutor(max_workers=workers, mp_context=get_context("spawn")) as pool:
+            return list(pool.map(fn, tasks))
+    finally:
+        for name, value in saved.items():
+            if value is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = value
 
 
 def cmd_sweep(args) -> int:
@@ -236,25 +273,29 @@ def cmd_sweep(args) -> int:
             tasks.append((args.model, params, solvers, args.deterministic))
 
     if args.workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            results = list(pool.map(_sweep_task, tasks))
+        results = _pool_map(_sweep_task, tasks, args.workers)
     else:
         results = [_sweep_task(t) for t in tasks]
     # results are already in deterministic (p_index, trial_index) order
     rows = [row for batch in results for row in batch]
+    for row in rows:
+        if "skipped" in row:
+            print(f"skipped {row['method']} at p={row['p']}, seed={row['seed']}: "
+                  f"{row['skipped']}", file=sys.stderr)
 
     out = Path(args.out)
-    _write_csv(out, ROW_COLUMNS, [[row[c] for c in ROW_COLUMNS] for row in rows])
+    _write_csv(out, ROW_COLUMNS, [[row.get(c) for c in ROW_COLUMNS] for row in rows])
     agg = []
     for p in p_grid:
         for method in methods:
-            sel = [r for r in rows if r["p"] == p and r["method"] == method]
-            r1 = np.array([r["rho1"] for r in sel])
-            r2 = np.array([r["rho2"] for r in sel])
-            l1 = np.array([r["lambda1"] for r in sel])
-            agg.append([args.model, args.n, p, method, len(sel), r1.mean(), r1.std(),
-                        r2.mean(), r2.std(), l1.mean(), l1.std()])
+            # only the rows with values: a skipped row counts for no trial
+            sel = [r for r in rows if r["p"] == p and r["method"] == method
+                   and "skipped" not in r]
+            stats = [None] * 6
+            if sel:
+                stats = [f(np.array([r[c] for r in sel])) for c in ("rho1", "rho2", "lambda1")
+                         for f in (np.mean, np.std)]
+            agg.append([args.model, args.n, p, method, len(sel), *stats])
     agg_path = out.with_name(out.stem + ".agg" + (out.suffix or ".csv"))
     _write_csv(agg_path, AGG_COLUMNS, agg)
     print(f"wrote {out} ({len(rows)} rows) and {agg_path}")

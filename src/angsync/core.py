@@ -26,7 +26,6 @@ import numpy as np
 import scipy.sparse as sp
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg.blas import zgemv
-from scipy.sparse.csgraph import connected_components as _cc
 
 TWO_PI = 2.0 * np.pi
 
@@ -158,6 +157,16 @@ def _adopt(x, dtype) -> np.ndarray:
     return np.array(x, dtype=dtype)
 
 
+def _row_entries(indptr, rows):
+    """Positions of the CSR entries of `rows`, concatenated row after row,
+    and for each position the index into `rows` it belongs to."""
+    starts = indptr[rows]
+    lengths = indptr[rows + 1] - starts
+    owner = np.repeat(np.arange(rows.size), lengths)
+    offset = np.arange(owner.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    return owner, starts[owner] + offset
+
+
 # edges per OffsetGraph validation block: its int64 codes and boolean
 # temporaries stay below glibc's 128 KiB mapping threshold
 _CHECK_BLOCK = 1 << 13
@@ -177,15 +186,16 @@ class OffsetGraph:
     Any other `i` or `j`, a writable array or a read-only view included, is
     copied, and `delta` is always reduced into a new array.  The checks run
     over blocks of `_CHECK_BLOCK` edges, so they make no m-sized temporary
-    unless the edges do not ascend in (i, j) order; whether they do is kept
-    for `eig.build_sync_matrix`.
+    unless the edges do not ascend in (i, j) order, when the duplicate
+    check sorts one array of the codes i * n + j in place; whether they
+    ascend is kept for `eig.build_sync_matrix`.
 
     The sparsity pattern of the symmetric matrix, both directions of every
     edge, is the private `_adjacency`: computed on first use, kept, and
     read by `eig.build_sync_matrix`, `eig.triangle_consistency_score` and
     `connected_component_labels`, so a graph is sorted once however many
-    of them run.  Its arrays are read-only and take 24 bytes per edge at
-    scipy's int32 index dtype (a 4-byte column index and an 8-byte slot for
+    of them run.  Its arrays are read-only and take 16 bytes per edge at
+    scipy's int32 index dtype (a 4-byte column index and a 4-byte slot for
     each direction), plus 4 (n + 1).
     """
 
@@ -212,8 +222,9 @@ class OffsetGraph:
         if not (i.ndim == j.ndim == delta.ndim == 1 and i.size == j.size == delta.size):
             raise InvalidInputError("i, j, delta must be 1-d arrays of equal length")
         # strictly ascending codes i * n + j hold no duplicate; others are
-        # sorted and diffed (np.unique takes a hash path in numpy 2.4 that is
-        # about 20x slower at m = 79,800)
+        # laid out in one array, sorted in place and compared with their
+        # neighbours (np.unique takes a hash path in numpy 2.4 that is about
+        # 20x slower at m = 79,800)
         ascending, last = True, -1
         codes = np.empty(min(i.size, _CHECK_BLOCK), dtype=np.int64)
         for s in range(0, i.size, _CHECK_BLOCK):
@@ -225,8 +236,12 @@ class OffsetGraph:
                 c += bj
                 ascending = bool(c[0] > last and np.all(c[1:] > c[:-1]))
                 last = c[-1]
-        if not ascending and not np.all(np.diff(np.sort(i * n + j))):
-            raise InvalidInputError("duplicate edge pair")
+        if not ascending:
+            codes = np.multiply(i, n)
+            codes += j
+            codes.sort()
+            if np.equal(codes[1:], codes[:-1]).any():
+                raise InvalidInputError("duplicate edge pair")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "i", _lock(i))
         object.__setattr__(self, "j", _lock(j))
@@ -240,8 +255,8 @@ class OffsetGraph:
     @cached_property
     def _adjacency(self):
         """(indptr, indices, slots): the CSR pattern of the 2m entries (i, j)
-        and (j, i), each row's columns ascending, in scipy's index dtype for
-        that many entries.  slots[k] names the entry at CSR position k: e for
+        and (j, i), each row's columns ascending, all three in scipy's index
+        dtype for that many entries.  slots[k] names the entry at CSR position k: e for
         edge e read as (i_e, j_e), m + e for (j_e, i_e).  The order is one
         ``np.argsort`` of the keys row * n + col, which are distinct, so it
         is the only one."""
@@ -251,8 +266,11 @@ class OffsetGraph:
         for half, rows, cols in ((keys[:m], self.i, self.j), (keys[m:], self.j, self.i)):
             np.multiply(rows, n, out=half)
             half += cols
-        slots = np.argsort(keys)
-        indices = np.concatenate([self.j, self.i], dtype=idx)[slots]
+        order = np.argsort(keys)
+        del keys
+        indices = np.concatenate([self.j, self.i], dtype=idx)[order]
+        slots = order.astype(idx, copy=False)
+        del order
         counts = np.bincount(self.i, minlength=n)
         counts += np.bincount(self.j, minlength=n)
         indptr = np.zeros(n + 1, dtype=idx)
@@ -599,6 +617,15 @@ def evaluate(graph: OffsetGraph, truth: GroundTruth, estimate: AngleEstimate,
         sce=_violations(diffs, graph.delta, sce_tol, a, b),
         sce_f=_soft_penalty(diffs, graph.delta, theta0, a, b),
     )
+
+
+def _cc(csgraph, directed):
+    """scipy's ``connected_components``.  Its module is imported here, on the
+    first search, not with the package: it costs about 1 MB of resident
+    memory, and a process that only meets complete graphs never searches."""
+    from scipy.sparse.csgraph import connected_components
+
+    return connected_components(csgraph, directed=directed)
 
 
 def connected_component_labels(graph: OffsetGraph):

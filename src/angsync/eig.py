@@ -29,6 +29,7 @@ from .core import (
     OffsetGraph,
     SyncMatrix,
     ZeroMatrixError,
+    _row_entries,
     check_budget,
     check_integer,
     check_seed,
@@ -41,6 +42,7 @@ ZERO_MAGNITUDE = 1e-14
 _PHASORS = 4096  # phasors that `_complete_operand` computes at a time (64 KiB)
 _TILE = 64  # side of the tiles of the conjugate half that `_complete_operand` fills
 _LOWER = np.tri(_TILE, k=-1, dtype=bool)  # strictly below the diagonal of a tile
+_GATHER = 1 << 13  # CSR slots whose phasors the general build gathers at a time
 
 
 def build_sync_matrix(graph: OffsetGraph, diagonal_shift: float = 0.0) -> SyncMatrix:
@@ -55,18 +57,26 @@ def build_sync_matrix(graph: OffsetGraph, diagonal_shift: float = 0.0) -> SyncMa
     one dense array, and the matrix is held as that array alone (16 n^2
     bytes; `SyncMatrix._of_dense`): its CSR is laid out from it only when
     `entries` is first read.  Every other graph takes the graph's cached
-    sorted pattern (`OffsetGraph._adjacency`): the 2m phasors, the forward
-    half then its conjugate, are gathered into CSR order by its slots, and
-    the matrix gets its own writable copies of the index arrays."""
+    sorted pattern (`OffsetGraph._adjacency`): the phasors of the m edges
+    are computed once and gathered into CSR order by its slots, `_GATHER`
+    at a time, each conjugated where its slot is m or more (the edge read
+    from j to i), so no 2m-phasor buffer is made; the matrix gets its own
+    writable copies of the index arrays."""
     n, m = graph.n, graph.m
     if 2 * m == n * (n - 1) and graph._ascending:
         return SyncMatrix._of_dense(_complete_operand(graph), float(diagonal_shift))
     indptr, indices, slots = graph._adjacency
-    w = np.empty(2 * m, dtype=np.complex128)
-    np.multiply(1j, graph.delta, out=w[:m])
-    np.exp(w[:m], out=w[:m])
-    np.conjugate(w[:m], out=w[m:])
-    entries = sp.csr_matrix((w[slots], indices.copy(), indptr.copy()), shape=(n, n))
+    w = np.multiply(1j, graph.delta)
+    np.exp(w, out=w)
+    # slot e + m is edge e read backwards, so its phasor is w[e] conjugated;
+    # np.take copies its indices to intp first, so they go a block at a time
+    data = np.empty(2 * m, dtype=np.complex128)
+    for s in range(0, 2 * m, _GATHER):
+        block, at = data[s:s + _GATHER], slots[s:s + _GATHER]
+        np.take(w, at, mode="wrap", out=block)
+        np.conjugate(block, out=block, where=at >= m)
+    del w
+    entries = sp.csr_matrix((data, indices.copy(), indptr.copy()), shape=(n, n))
     entries.has_canonical_format = True  # sorted, no pair repeats
     return SyncMatrix(n=n, entries=entries, diagonal_shift=float(diagonal_shift))
 
@@ -274,16 +284,6 @@ def estimate_eig(graph: OffsetGraph, opts: EigOptions | None = None, *,
 
 
 _TRIANGLE_BATCH = 128  # edges whose common neighbourhoods one intersect1d call finds
-
-
-def _row_entries(indptr, rows):
-    """Positions of the CSR entries of `rows`, concatenated row after row,
-    and for each position the index into `rows` it belongs to."""
-    starts = indptr[rows]
-    lengths = indptr[rows + 1] - starts
-    owner = np.repeat(np.arange(rows.size), lengths)
-    offset = np.arange(owner.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-    return owner, starts[owner] + offset
 
 
 def _stored_offsets(graph: OffsetGraph, slots):

@@ -21,6 +21,7 @@ from .core import (
     InvalidInputError,
     OffsetGraph,
     _lock,
+    _row_entries,
     check_prob,
     check_seed,
     is_connected,
@@ -161,9 +162,14 @@ def _cap_edges(pts, cap):
     return np.concatenate(rows), np.concatenate(cols)
 
 
+_REWIND = 1 << 13  # values drawn at a time when `_rewire_pairs` rewinds the stream
+
+
 def _rewire_pairs(rewire, n, base_i, base_j, rewired):
     """Fresh endpoints for the edges `rewired` (ascending indices into the
-    base edges, which ascend in (i, j) order), as two int64 arrays.
+    base edges, which ascend in (i, j) order), as two int64 arrays.  The
+    base edges are read only for their keys i * n + j, before anything is
+    drawn, so the caller may write the result into them.
 
     The rule is that of a scalar loop: step s removes rewired edge s from the
     edge set, then takes pairs a, b = integers(0, n) until a != b and the
@@ -182,23 +188,35 @@ def _rewire_pairs(rewire, n, base_i, base_j, rewired):
     step q, the candidates taken before it (those taken for sure, counted in
     bulk, plus the suspects it took), and rejects it when q < t or when its
     key was taken already; it stops at the last step.  Every candidate is
-    thus decided as the scalar loop decides it.  The candidates
-    come from `rewire.integers(0, n, size=...)` calls, which give the same
-    values as that many scalar calls; a stream too short for every step (a
-    dense graph) is extended and decided again.  Afterwards `rewire` is
-    rewound and exactly the values used are redrawn, so it is left where the
-    scalar draws would leave it.
+    thus decided as the scalar loop decides it.  The candidates come from
+    one `rewire.integers(0, n, size=...)` call, which gives the same values
+    as that many scalar calls, so a longer call gives a longer stream with
+    the same start: a stream too short for every step (a dense graph) is
+    drawn again, twice as long, from the saved state, and decided again.
+    Only the candidate keys are kept between passes, and the endpoints of
+    the pairs used are read back off them.  Afterwards `rewire` is rewound
+    and exactly the values used are redrawn, `_REWIND` at a time, so it is
+    left where the scalar draws would leave it.
     """
     steps = rewired.size
     if steps == 0:
         return np.empty(0, np.int64), np.empty(0, np.int64)
     saved = rewire.bit_generator.state
-    keys = base_i * n + base_j
-    values = rewire.integers(0, n, size=2 * (steps + steps // 4) + 128)  # ~1.25 tries an edge
+    keys = base_i * n
+    keys += base_j
+    size = 2 * (steps + steps // 4) + 128  # ~1.25 tries an edge
     while True:
-        lo = np.minimum(values[0::2], values[1::2])
+        rewire.bit_generator.state = saved
+        values = rewire.integers(0, n, size=size)
+        cand = np.minimum(values[0::2], values[1::2])  # lo, then the key lo * n + hi
         hi = np.maximum(values[0::2], values[1::2])
-        taken, pos, step = _classify(keys, rewired, np.where(lo == hi, -1, lo * n + hi))
+        del values
+        same = cand == hi
+        cand *= n
+        cand += hi
+        cand[same] = -1
+        del hi, same
+        taken, pos, step = _classify(keys, rewired, cand)
         done = set()  # the steps whose base edge a suspect took back
         for p, t, q in zip(pos.tolist(), step.tolist(), np.cumsum(taken)[pos].tolist()):
             q += len(done)
@@ -210,11 +228,12 @@ def _rewire_pairs(rewire, n, base_i, base_j, rewired):
         used = np.flatnonzero(taken)[:steps]
         if used.size == steps:
             break
-        values = np.concatenate([values, rewire.integers(0, n, size=values.size)])
+        size *= 2
 
     rewire.bit_generator.state = saved
-    rewire.integers(0, n, size=2 * (int(used[-1]) + 1))
-    return lo[used], hi[used]
+    for left in range(2 * (int(used[-1]) + 1), 0, -_REWIND):
+        rewire.integers(0, n, size=min(left, _REWIND))
+    return np.divmod(cand[used], n)
 
 
 def _classify(keys, rewired, cand):
@@ -224,26 +243,35 @@ def _classify(keys, rewired, cand):
 
     The candidates are sorted once, unstably, and grouped by key; each key is
     looked up among the ascending base `keys`, and a base edge's index among
-    `rewired` gives its step."""
+    `rewired` gives its step.  The suspects are the members of the groups
+    whose key is a rewired base edge, found from those groups alone."""
     order = np.argsort(cand)
     ordered = cand[order]
-    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    new = np.empty(cand.size, dtype=bool)
+    new[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    starts = np.flatnonzero(new)
+    del new
     group = ordered[starts]
+    del ordered
     base = np.searchsorted(keys, group)
     hit = keys[np.minimum(base, keys.size - 1)] == group
+    fresh = ~hit
+    fresh &= group >= 0
+    del group
     taken = np.zeros(cand.size, dtype=bool)
-    taken[np.minimum.reduceat(order, starts)[~hit & (group >= 0)]] = True
+    taken[np.minimum.reduceat(order, starts)[fresh]] = True
 
     hits = np.flatnonzero(hit)
-    step = np.searchsorted(rewired, base[hits])
-    is_rewired = rewired[np.minimum(step, rewired.size - 1)] == base[hits]
-    group_step = np.full(group.size, -1)
-    group_step[hits[is_rewired]] = step[is_rewired]
-    member_step = np.repeat(group_step, np.diff(np.r_[starts, cand.size]))
-    members = member_step >= 0
-    pos = order[members]
+    edge = base[hits]
+    step = np.searchsorted(rewired, edge)
+    is_rewired = rewired[np.minimum(step, rewired.size - 1)] == edge
+    # the groups' runs in the sort order, read as the rows of a CSR pattern
+    member, at = _row_entries(np.append(starts, cand.size), hits[is_rewired])
+    pos = order[at]
+    step = step[is_rewired]
     by_pos = np.argsort(pos)
-    return taken, pos[by_pos], member_step[members][by_pos]
+    return taken, pos[by_pos], step[member][by_pos]
 
 
 def gen_small_world(params: SmallWorldParams):
@@ -254,28 +282,29 @@ def gen_small_world(params: SmallWorldParams):
 
     The base edges come from row blocks of ``pts @ pts.T`` (`_cap_edges`),
     so the working memory is O(block * n) instead of the n x n Gram matrix,
-    with the same edges in the same order.  n=20,000, epsilon=0.05 (about 5M
-    edges) generates in 0.6 s at p=1 and 1.2-1.25 s at p=0.3, peak RSS
-    0.57 and 0.78 GB, on one core of a 2-vCPU VM (8.3 s and 1.3 GB with a
-    scalar rewiring loop); the n x n matrix alone would take 3.2 GB.  The
-    rewiring draws come in bulk from vectorized `integers(0, n, size=...)`
-    calls and numpy decides almost all of them at once (`_rewire_pairs`),
-    giving the same instances as one scalar `integers(0, n)` call per
-    endpoint."""
+    with the same edges in the same order, and they become the instance's
+    edges: the rewired ones are overwritten in place.  The rewiring draws
+    come in bulk from vectorized `integers(0, n, size=...)` calls and numpy
+    decides almost all of them at once (`_rewire_pairs`), giving the same
+    instances as one scalar `integers(0, n)` call per endpoint.  n=20,000,
+    epsilon=0.05 (m = 4,999,861 at seed 1, 125 MB returned) generates in
+    1.5-1.6 s of CPU at p=1 and 2.9-3.2 s at p=0.3, on one core of a
+    2-vCPU VM.  Its tracemalloc peaks are 341 and 402 MB, and the process's
+    peak RSS 0.39-0.41 and 0.48 GB (0.06 GB of it imports); the n x n
+    matrix alone would take 3.2 GB."""
     n = params.n
     pts = _sphere_points(_rng(params.seed, _STREAM_GRAPH), n)
-    base_i, base_j = _cap_edges(pts, 1.0 - params.epsilon)
-    m = base_i.size
+    out_i, out_j = _cap_edges(pts, 1.0 - params.epsilon)
+    m = out_i.size
 
     theta = _rng(params.seed, _STREAM_ANGLES).uniform(0.0, TWO_PI, n)
     rewire = _rng(params.seed, _STREAM_REWIRE)
     rewire_mask = rewire.random(m) >= params.p
 
     rewired = np.flatnonzero(rewire_mask)
-    out_i = base_i.copy()
-    out_j = base_j.copy()
     good = ~rewire_mask
-    out_i[rewired], out_j[rewired] = _rewire_pairs(rewire, n, base_i, base_j, rewired)
+    # the base edges become the instance's, the rewired ones overwritten in place
+    out_i[rewired], out_j[rewired] = _rewire_pairs(rewire, n, out_i, out_j, rewired)
 
     delta = np.empty(m, dtype=np.float64)
     delta[good] = reduce_angles(theta[out_i[good]] - theta[out_j[good]])

@@ -7,6 +7,8 @@ be the pattern a COO -> CSR conversion gives, be computed once per graph,
 and stay read-only.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -139,3 +141,26 @@ def test_read_only_and_not_shared_with_h():
     indptr, indices, _ = graph._adjacency
     for own, cached in ((entries.indices, indices), (entries.indptr, indptr)):
         assert own.flags.writeable and not np.shares_memory(own, cached)
+
+
+def test_slots_in_index_dtype():
+    # 16 bytes an edge: a column index and a slot for each direction
+    graph = _rewired()
+    indptr, indices, slots = graph._adjacency
+    assert slots.dtype == indices.dtype == indptr.dtype
+    assert indices.nbytes + slots.nbytes == 16 * graph.m
+
+
+def test_general_build_holds_m_phasors():
+    # n=2000, epsilon=0.05, p=0.3: the build keeps the CSR (40 bytes an
+    # edge) and caches the adjacency (16); computing the m phasors once and
+    # gathering them into CSR order a block at a time peaks at about 66
+    # bytes an edge, where a 2m-phasor buffer and 8-byte slots took 96
+    graph = gen_small_world(SmallWorldParams(n=2000, epsilon=0.05, p=0.3, seed=5))[0]
+    tracemalloc.start()
+    try:
+        build_sync_matrix(graph)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 80 * graph.m

@@ -1,18 +1,40 @@
 import csv
 import dataclasses
 import hashlib
+import importlib.util
 import json
+import os
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from angsync import baselines, cli, eig, generators
 from angsync.cli import derive_seed, main
-from angsync.core import InvalidInputError, read_instance, write_instance
+from angsync.core import InvalidInputError, ZeroMatrixError, read_instance, write_instance
+
+
+_PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def run(args):
     return main(args)
+
+
+def _load_bench():
+    """perfbench/bench.py, for its BLAS thread probe (it imports its sibling
+    probe.py, so perfbench/ must be on sys.path)."""
+    spec = importlib.util.spec_from_file_location("perfbench_bench", _PERFBENCH / "bench.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    return bench
+
+
+def _worker_blas_threads(_):
+    """The BLAS thread counts a pool worker reports."""
+    sys.path.insert(0, str(_PERFBENCH))
+    return _load_bench().blas_threads()
 
 
 class TestGenerate:
@@ -389,6 +411,63 @@ class TestSweep:
         assert int(row["m"]) == 0 and float(row["np2"]) == 0.0
         assert row["pred_p_threshold"] == row["pred_rho2"] == row["pred_lambda1_mu"] == ""
 
+    def test_edgeless_instance_leaves_eig_row_empty(self, tmp_path, capsys):
+        # the sync matrix of a graph without edges is zero, so eig raises
+        # ZeroMatrixError: its row keeps the instance and predictor columns,
+        # its solver cells stay empty, one stderr line names it, and every
+        # other row is written, in the same bytes by one worker or two
+        args = ["sweep", "--model", "small-world", "--n", "5", "--epsilon", "0.01",
+                "--p", "0.5", "--trials", "2", "--method", "eig,lsqr,sdp",
+                "--deterministic"]
+        out = {}
+        for workers in ("1", "2"):
+            out[workers] = tmp_path / f"w{workers}.csv"
+            assert run(args + ["--workers", workers, "--out", str(out[workers])]) == 0
+            err = capsys.readouterr().err.splitlines()
+            seeds = [derive_seed(0, 0, trial) for trial in range(2)]
+            assert err == [f"skipped eig at p=0.5, seed={seed}: sync matrix has no nonzero "
+                           f"entries" for seed in seeds]
+        assert out["1"].read_bytes() == out["2"].read_bytes()
+        assert ((tmp_path / "w1.agg.csv").read_bytes()
+                == (tmp_path / "w2.agg.csv").read_bytes())
+        rows = read_csv(out["1"])
+        assert [r["method"] for r in rows] == ["eig", "lsqr", "sdp"] * 2
+        solver = ["rho1", "rho2", "lambda1", "objective", "iterations", "wall_ms"]
+        for row in rows:
+            assert int(row["m"]) == 0 and float(row["np2"]) == 0.0
+            assert all((row[c] == "") is (row["method"] == "eig") for c in solver)
+        aggs = {a["method"]: a for a in read_csv(tmp_path / "w1.agg.csv")}
+        assert int(aggs["eig"]["trials"]) == 0
+        assert all(v == "" for k, v in aggs["eig"].items() if k.endswith(("_mean", "_std")))
+        for method in ("lsqr", "sdp"):
+            sel = [float(r["rho1"]) for r in rows if r["method"] == method]
+            assert int(aggs[method]["trials"]) == 2
+            assert float(aggs[method]["rho1_mean"]) == np.mean(sel)
+
+    def test_aggregate_leaves_out_skipped_rows(self, tmp_path, capsys, monkeypatch):
+        # a skipped instance among solved ones: the aggregate averages the
+        # rows with values and counts only them as trials
+        solve = baselines.solve
+        first = []
+
+        def sometimes_zero(graph, method, opts, H=None):
+            if not first:
+                first.append(graph)
+                raise ZeroMatrixError("sync matrix has no nonzero entries")
+            return solve(graph, method, opts, H=H)
+
+        monkeypatch.setattr(baselines, "solve", sometimes_zero)
+        out = tmp_path / "sw.csv"
+        assert run(["sweep", "--model", "complete", "--n", "20", "--p", "0.9",
+                    "--trials", "3", "--seed", "1", "--out", str(out)]) == 0
+        assert len(capsys.readouterr().err.splitlines()) == 1
+        rows = read_csv(out)
+        assert [r["rho1"] == "" for r in rows] == [True, False, False]
+        (agg,) = read_csv(tmp_path / "sw.agg.csv")
+        sel = np.array([float(r["rho1"]) for r in rows[1:]])
+        assert int(agg["trials"]) == 2
+        assert float(agg["rho1_mean"]) == sel.mean() and float(agg["rho1_std"]) == sel.std()
+
     def test_empty_grid_exits_2(self, tmp_path, capsys):
         code = run(["sweep", "--model", "complete", "--n", "10", "--p", ",",
                     "--trials", "1", "--out", str(tmp_path / "x.csv")])
@@ -545,6 +624,17 @@ class TestSweep:
              "--trials", "1", "--out", str(out)])
         first = out.read_text().splitlines()[0]
         assert first == "# schema_version=1"
+
+    def test_pool_workers_run_blas_on_one_thread(self, monkeypatch):
+        # perfbench's ctypes probe reads each loaded OpenBLAS's thread count;
+        # the workers report 1 while this process, its threads and its
+        # environment stay as they were
+        monkeypatch.syspath_prepend(str(_PERFBENCH))
+        probe = _load_bench()
+        before, env = probe.blas_threads(), dict(os.environ)
+        counts = cli._pool_map(_worker_blas_threads, [0, 1], workers=2)
+        assert counts and all(c is not None and set(c) == {1} for c in counts)
+        assert probe.blas_threads() == before and dict(os.environ) == env
 
     def test_worker_pool_matches_sequential(self, tmp_path):
         a = tmp_path / "w1.csv"

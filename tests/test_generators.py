@@ -237,6 +237,24 @@ class TestBulkRewiring:
             _assert_same_instance(SmallWorldParams(n=n, epsilon=epsilon, p=p, seed=seed),
                                   monkeypatch)
 
+    def test_near_complete_case_classifies_again(self, monkeypatch):
+        # the (40, 1.99, 0.5) case above runs out of candidates at every seed:
+        # the longer stream drawn again from the saved state is classified
+        # anew, so that case covers the refill path
+        calls = []
+        classify = generators._classify
+
+        def counted(*args):
+            calls.append(args[2].size)
+            return classify(*args)
+
+        monkeypatch.setattr(generators, "_classify", counted)
+        for seed in range(1, 21):
+            calls.clear()
+            gen_small_world(SmallWorldParams(n=40, epsilon=1.99, p=0.5, seed=seed))
+            assert len(calls) > 1
+            assert all(b == 2 * a for a, b in zip(calls, calls[1:]))
+
     def test_dense_case_refills(self, monkeypatch):
         # 3/4 of all pairs are edges, so each rewired edge takes about four
         # attempts: far more words than the first chunk of ~1.25 per edge
@@ -335,6 +353,23 @@ class TestBaseEdges:
         finally:
             tracemalloc.stop()
         assert peak < 24e6
+
+    def test_allocates_little_beyond_the_instance(self):
+        # n=2000, epsilon=0.05, p=0.3 returns 1.26 MB (m = 49,586 at seed 5).
+        # The rewired edges overwrite the base edges in place, only the
+        # candidate keys outlive a rewiring pass, and its intermediates are
+        # freed as they are used: the traced peak is about 4.1 MB, set by
+        # `_cap_edges`.  Copying the base edges, keeping the
+        # drawn values and a candidate-sized step array took it to 7.0 MB.
+        gen_small_world(SmallWorldParams(n=100, epsilon=0.3, p=0.3, seed=1))  # warm
+        for seed in (1, 5):
+            tracemalloc.start()
+            try:
+                gen_small_world(SmallWorldParams(n=2000, epsilon=0.05, p=0.3, seed=seed))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 5.5e6
 
     def test_nothing_rewired_leaves_state_as_scalar_loop(self):
         graph, _ = gen_small_world(SmallWorldParams(n=50, epsilon=1.5, p=1.0, seed=4))
