@@ -24,7 +24,6 @@ from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
-from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg.blas import zgemv
 
 TWO_PI = 2.0 * np.pi
@@ -187,8 +186,9 @@ class OffsetGraph:
     copied, and `delta` is always reduced into a new array.  The checks run
     over blocks of `_CHECK_BLOCK` edges, so they make no m-sized temporary
     unless the edges do not ascend in (i, j) order, when the duplicate
-    check sorts one array of the codes i * n + j in place; whether they
-    ascend is kept for `eig.build_sync_matrix`.
+    check sorts one array of the codes i * n + j in place.  Whether they
+    ascend is kept as `_ascending` for the tests of that check; the sync
+    matrix build does not read it.
 
     The sparsity pattern of the symmetric matrix, both directions of every
     edge, is the private `_adjacency`: computed on first use, kept, and
@@ -319,37 +319,12 @@ class GroundTruth:
             raise InvalidInputError("good edge offset differs from planted angles")
 
 
-def _complete_csr(D: np.ndarray) -> sp.csr_matrix:
-    """The CSR of every off-diagonal entry of D, each row's columns
-    ascending, with the bytes the general build of `eig.build_sync_matrix`
-    gives when D is a complete graph's dense array.
-
-    Every row is full, so the data is D's off-diagonal in row-major order,
-    and the column indices and row pointers follow from n.  Below the
-    diagonal the general build stores the conjugate of each phasor, which
-    for a zero offset is 1 - 0j where D, as ``toarray`` does, holds 1 + 0j;
-    the entries with a zero imaginary part below the diagonal are therefore
-    taken as the conjugates of their mirrors (no other phasor has a zero
-    part)."""
-    n = D.shape[0]
-    nnz = n * (n - 1)
-    data = np.empty(nnz, dtype=np.complex128)
-    # drop D's first entry and view the rest as n - 1 rows of n + 1 entries:
-    # each row ends in a diagonal entry, and the others are the off-diagonal
-    np.copyto(data.reshape(n - 1, n), D.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :n])
-    idx = sp.get_index_dtype(maxval=max(n, nnz))
-    # the columns of that view's row k are k + 1, k + 2, ... mod n
-    cols = np.arange(n, dtype=idx)
-    indices = sliding_window_view(np.concatenate([cols, cols]), n)[1:n].reshape(-1)
-    indptr = np.arange(n + 1, dtype=idx)
-    indptr *= n - 1
-    zero = np.flatnonzero(data.imag == 0.0)
-    row, col = zero // max(n - 1, 1), indices[zero]
-    below = col < row
-    data[zero[below]] = np.conjugate(D[col[below], row[below]])
-    entries = sp.csr_matrix((data, indices, indptr), shape=(n, n))
-    entries.has_canonical_format = True  # as the general build sets it
-    return entries
+def _dense_fits(n: int, nnz: int) -> bool:
+    """Whether an n x n array (16 n^2 bytes) is no larger than the CSR of
+    `nnz` entries at scipy's index dtype for them: complete graphs from
+    n = 4 on, and graphs nearly as dense."""
+    index = np.dtype(sp.get_index_dtype(maxval=max(n, nnz))).itemsize
+    return 16 * n ** 2 <= 16 * nnz + index * (nnz + n + 1)
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -359,48 +334,43 @@ class SyncMatrix:
     `entries` stores only the 2m off-diagonal nonzeros (CSR); the constant
     diagonal lives in `diagonal_shift` so shifting never changes the sparsity.
 
-    Products with H (`matvec`, `matmat`) run on a dense copy of `entries`
-    when that copy takes no more bytes than the CSR arrays (16 n^2 bytes
-    against data, indices and indptr: complete graphs from n = 4 on), and on
-    the CSR otherwise.  A matrix made from `entries` copies them on its first
-    product, once.  A complete graph's matrix (`_of_dense`, which
-    `eig.build_sync_matrix` uses) is held as that dense array alone, 16 n^2
-    bytes instead of about 36 n^2 for both layouts: its `entries` are laid
-    out from the array on first read, with the bytes the general build
-    gives, and its nonzero count and row counts follow from n.  numpy
-    and scipy each link their own BLAS with its own thread pool, and a
-    product from one pool inside a loop driven by the other oversubscribes
-    the CPUs (at 2 threads, numpy's product inside ARPACK took a top eigenpair
-    at complete n = 400 from 7 ms to 252 ms).  So each product uses the pool
-    its caller's loop already uses: `matvec`, which ARPACK calls, goes through
-    scipy's ``zgemv``, and `matmat`, which the numpy-driven SDP ascent calls,
-    through numpy's ``@``.
+    The product operand is chosen once, at construction, by one rule on n
+    and the nonzero count (`_dense_fits`): a dense array when it takes no
+    more bytes than the CSR arrays, the CSR otherwise.  The constructor
+    copies dense-sized `entries` into that array at once.  A complete
+    graph's matrix (`_of_dense`, which `eig.build_sync_matrix` uses) is held
+    as its dense array alone, 16 n^2 bytes instead of about 36 n^2 for both
+    layouts: its `entries` are laid out from the array on first read, with
+    the bytes the general build gives, and its nonzero count and row counts
+    follow from n.  numpy and scipy each link their own BLAS with its own
+    thread pool, and a product from one pool inside a loop driven by the
+    other oversubscribes the CPUs (at 2 threads, numpy's product inside
+    ARPACK took a top eigenpair at complete n = 400 from 7 ms to 252 ms).
+    So each product uses the pool its caller's loop already uses: `matvec`,
+    which ARPACK calls, goes through scipy's ``zgemv``, and `matmat`, which
+    the numpy-driven SDP ascent calls, through numpy's ``@``.
     """
 
     n: int
     diagonal_shift: float = 0.0
 
     def __init__(self, n: int, entries: sp.csr_matrix, diagonal_shift: float = 0.0):
-        self._hold(n, diagonal_shift, entries=entries)
+        if entries.shape != (n, n):
+            raise InvalidInputError("entries shape mismatch")
+        dense = entries.toarray() if _dense_fits(n, entries.nnz) else None
+        self._hold(n, diagonal_shift, entries=entries, _dense=dense)
 
     @classmethod
     def _of_dense(cls, D: np.ndarray, diagonal_shift: float = 0.0) -> SyncMatrix:
         """The matrix whose off-diagonal is D's, every entry of it stored,
-        held as D alone; below n = 4, where the CSR is the smaller layout, as
-        its CSR.  D must be what ``entries.toarray()`` would give, byte for
-        byte: zero diagonal, and 1 + 0j where the CSR holds 1 - 0j (see
-        `_complete_csr`)."""
+        held as D alone.  D must be what ``entries.toarray()`` would give,
+        byte for byte, and of a dense size (n >= 4)."""
         H = cls.__new__(cls)
         H._hold(D.shape[0], diagonal_shift, _dense=D)
-        if not H._dense_fits():
-            H._hold(H.n, diagonal_shift, entries=H.entries, _dense=None)
         return H
 
     def _with_shift(self, diagonal_shift: float) -> SyncMatrix:
-        """This matrix with another diagonal shift, holding the same arrays.
-        The dense operand, when one is used, is made on self first, so the
-        two share it."""
-        self._dense  # made on self when it is not held yet
+        """This matrix with another diagonal shift, holding the same arrays."""
         H = copy.copy(self)
         H._hold(self.n, diagonal_shift)
         return H
@@ -414,21 +384,17 @@ class SyncMatrix:
     def entries(self) -> sp.csr_matrix:
         """The off-diagonal nonzeros as CSR, each row's columns ascending:
         given at construction, or laid out from the dense array on this first
-        read by a matrix held as one."""
-        return _complete_csr(self._dense)
-
-    def _dense_fits(self) -> bool:
-        a = vars(self).get("entries")
-        if a is None:  # `_complete_csr`'s layout, counted from n
-            nnz = self.nnz_offdiag
-            index = np.dtype(sp.get_index_dtype(maxval=max(self.n, nnz))).itemsize
-            return 16 * self.n ** 2 <= 16 * nnz + index * (nnz + self.n + 1)
-        return 16 * self.n ** 2 <= a.data.nbytes + a.indices.nbytes + a.indptr.nbytes
-
-    @cached_property
-    def _dense(self) -> np.ndarray | None:
-        """`entries` as a dense array when that is no larger than the CSR, else None."""
-        return self.entries.toarray() if self._dense_fits() else None
+        read by a matrix held as one.  There, the general build stores the
+        conjugate 1 - 0j of a zero offset's phasor below the diagonal, where
+        the array holds 1 + 0j as ``toarray`` does, so those entries (the
+        only ones below the diagonal with a zero imaginary part) are
+        conjugated back."""
+        a = sp.csr_matrix(self._dense)
+        zero = np.flatnonzero(a.data.imag == 0.0)
+        rows = np.searchsorted(a.indptr, zero, side="right") - 1
+        below = zero[a.indices[zero] < rows]
+        a.data[below] = np.conjugate(a.data[below])
+        return a
 
     def _degrees(self) -> np.ndarray:
         """The row counts of `entries`, as floats: the degrees of H's graph."""
@@ -458,7 +424,7 @@ class SyncMatrix:
     def to_dense(self) -> np.ndarray:
         """H as a new array: a copy of the dense operand when H holds one, else
         of ``entries.toarray()``, with `diagonal_shift` on the diagonal."""
-        D = vars(self).get("_dense")
+        D = self._dense
         H = np.asarray(self.entries.toarray() if D is None else D.copy(), dtype=np.complex128)
         if self.diagonal_shift != 0.0:
             H[np.diag_indices(self.n)] += self.diagonal_shift
@@ -471,8 +437,6 @@ class SyncMatrix:
 
     def validate(self, atol: float = 1e-12) -> None:
         a = self.entries
-        if a.shape != (self.n, self.n):
-            raise InvalidInputError("entries shape mismatch")
         if a.nnz and np.abs(np.abs(a.data) - 1.0).max() > atol:
             raise InvalidInputError("off-diagonal entries must have unit modulus")
         if np.abs((a - a.conj().T).data).max(initial=0.0) > atol:

@@ -4,8 +4,9 @@ Build the Hermitian matrix H with e^{i delta_ij} at measured pairs, compute
 its top (largest algebraic) eigenpair by implicitly restarted Arnoldi on
 the Hermitian H (ARPACK's complex driver through ``scipy.sparse.linalg.eigs``,
 which is what ``eigsh`` calls for complex matrices), and read the angle
-estimates off the entrywise phases of the eigenvector.  On dense graphs the
-products with H run on a dense copy of it (see `SyncMatrix`).
+estimates off the entrywise phases of the eigenvector.  A complete graph's H
+is built straight into a dense array, and the products with any other H run
+on a dense copy of its CSR when that copy is no larger (see `SyncMatrix`).
 
 The iteration budget counts applications of H.  Convergence is decided by an
 explicit residual check on the returned pair, not by ARPACK's own flag, and
@@ -39,8 +40,8 @@ from .core import (
 ZERO_MAGNITUDE = 1e-14
 
 
-_PHASORS = 4096  # phasors that `_complete_operand` computes at a time (64 KiB)
-_TILE = 64  # side of the tiles of the conjugate half that `_complete_operand` fills
+_PHASORS = 4096  # phasors that the complete build computes at a time (64 KiB)
+_TILE = 64  # side of the tiles of the conjugate half that the complete build fills
 _LOWER = np.tri(_TILE, k=-1, dtype=bool)  # strictly below the diagonal of a tile
 _GATHER = 1 << 13  # CSR slots whose phasors the general build gathers at a time
 
@@ -49,22 +50,37 @@ def build_sync_matrix(graph: OffsetGraph, diagonal_shift: float = 0.0) -> SyncMa
     """H_ij = exp(i delta_ij) at measured pairs, conjugate at (j, i), zero
     elsewhere; constant diagonal `diagonal_shift`.
 
-    Two routes give the same `entries`, in dtype and bytes, each row's
-    columns ascending.  A complete graph whose edges ascend (m = n(n - 1)/2
-    and ascending (i, j) order, so its edges are ``np.triu_indices(n, 1)``:
-    every `gen_complete` instance, `gen_clock` at edge probability 1 and any
-    file written from them) is laid out from n by `_complete_operand` into
-    one dense array, and the matrix is held as that array alone (16 n^2
-    bytes; `SyncMatrix._of_dense`): its CSR is laid out from it only when
-    `entries` is first read.  Every other graph takes the graph's cached
-    sorted pattern (`OffsetGraph._adjacency`): the phasors of the m edges
-    are computed once and gathered into CSR order by its slots, `_GATHER`
-    at a time, each conjugated where its slot is m or more (the edge read
-    from j to i), so no 2m-phasor buffer is made; the matrix gets its own
-    writable copies of the index arrays."""
+    A complete graph (m = n(n - 1)/2) from n = 4 on, its edges in any
+    order, is built straight into the dense array that ``entries.toarray()``
+    would give, and the matrix holds that array alone (16 n^2 bytes; see
+    `SyncMatrix`).  The phasors go above the diagonal `_PHASORS` edges at a
+    time, through one buffer that every block reuses, and the half below is
+    filled tile by tile from the conjugated transpose, with 0.0 added as
+    ``toarray`` adds it (so the conjugate 1 - 0j of a zero offset reads
+    1 + 0j).  Every other graph takes the graph's cached sorted pattern
+    (`OffsetGraph._adjacency`): the phasors of the m edges are computed
+    once and gathered into CSR order by its slots, `_GATHER` at a time,
+    each conjugated where its slot is m or more (the edge read from j to
+    i), so no 2m-phasor buffer is made; the matrix gets its own writable
+    copies of the index arrays, each row's columns ascending."""
     n, m = graph.n, graph.m
-    if 2 * m == n * (n - 1) and graph._ascending:
-        return SyncMatrix._of_dense(_complete_operand(graph), float(diagonal_shift))
+    if 2 * m == n * (n - 1) and n >= 4:
+        D = np.zeros((n, n), dtype=np.complex128)
+        flat = D.reshape(-1)
+        buf = np.empty(min(m, _PHASORS), dtype=np.complex128)
+        for s in range(0, m, _PHASORS):
+            w = buf[:min(_PHASORS, m - s)]
+            np.multiply(1j, graph.delta[s:s + _PHASORS], out=w)
+            np.exp(w, out=w)
+            flat[graph.i[s:s + _PHASORS] * n + graph.j[s:s + _PHASORS]] = w
+        # square tiles: numpy buffers a transposed operand, one tile at most
+        for a in range(0, n, _TILE):
+            for c in range(0, a + 1, _TILE):
+                t = D[a:a + _TILE, c:c + _TILE]
+                below = _LOWER[:t.shape[0], :t.shape[0]] if c == a else True
+                np.conjugate(D[c:c + _TILE, a:a + _TILE].T, out=t, where=below)
+                np.add(t, 0.0, out=t, where=below)
+        return SyncMatrix._of_dense(D, float(diagonal_shift))
     indptr, indices, slots = graph._adjacency
     w = np.multiply(1j, graph.delta)
     np.exp(w, out=w)
@@ -79,43 +95,6 @@ def build_sync_matrix(graph: OffsetGraph, diagonal_shift: float = 0.0) -> SyncMa
     entries = sp.csr_matrix((data, indices.copy(), indptr.copy()), shape=(n, n))
     entries.has_canonical_format = True  # sorted, no pair repeats
     return SyncMatrix(n=n, entries=entries, diagonal_shift=float(diagonal_shift))
-
-
-def _complete_operand(graph: OffsetGraph) -> np.ndarray:
-    """The dense array of H, byte for byte what ``entries.toarray()`` gives,
-    of a complete graph whose edges are ``np.triu_indices(n, 1)``.
-
-    Row r holds the phasors of the run of edges (r, r+1..n-1) right of its
-    diagonal.  They are computed a block of whole rows at a time, at most
-    `_PHASORS` of them unless one row has more, in one buffer that every
-    block reuses; the conjugate half below the diagonal is then filled tile
-    by tile from the transposed upper half."""
-    n, m = graph.n, graph.m
-    D = np.zeros((n, n), dtype=np.complex128)
-    rows = max(1, _PHASORS // max(n - 1, 1))
-    buf = np.empty(min(m, rows * (n - 1)), dtype=np.complex128)
-    s = 0  # the first edge of row a
-    for a in range(0, n - 1, rows):
-        b = min(a + rows, n - 1)
-        w = buf[:(b - a) * (2 * n - 1 - a - b) // 2]  # the edges of rows a..b-1
-        np.multiply(1j, graph.delta[s:s + w.size], out=w)
-        np.exp(w, out=w)
-        s += w.size
-        for r in range(a, b):
-            D[r, r + 1:] = w[:n - 1 - r]
-            w = w[n - 1 - r:]
-    for a in range(0, n, _TILE):
-        b = min(a + _TILE, n)
-        # square tiles: numpy buffers a transposed operand, one tile at most
-        for c in range(0, a, _TILE):
-            np.conjugate(D[c:c + _TILE, a:b].T, out=D[a:b, c:c + _TILE])
-        np.conjugate(D[a:b, a:b].T, out=D[a:b, a:b], where=_LOWER[:b - a, :b - a])
-    # toarray adds each entry to a zero, which turns the conjugate 1 - 0j of
-    # a zero offset into 1 + 0j (no other phasor has a zero part)
-    if not graph.delta.all():
-        zero = np.flatnonzero(graph.delta == 0.0)
-        D[graph.j[zero], graph.i[zero]] += 0.0
-    return D
 
 
 def sync_matrix_of(graph: OffsetGraph, H: SyncMatrix | None = None) -> SyncMatrix:

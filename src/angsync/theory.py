@@ -28,7 +28,7 @@ class TheoryPrediction:
 
 
 def _check_L(L):
-    if int(L) != L or L < 2:
+    if not (2 <= L < math.inf and int(L) == L):
         raise InvalidInputError(f"L must be an integer >= 2, got {L}")
 
 
@@ -171,6 +171,9 @@ def threshold_ratio(L: int) -> float:
 
 def predictions_table(n: int, m: int, L: int, p: float) -> list[TheoryPrediction]:
     """All named predictions for one (n, m, L, p), ready for CSV output."""
+    check_prob("p", p)
+    if n < 1:
+        raise InvalidInputError("n must be >= 1")
     mk = TheoryPrediction
     m_bad = int(round((1.0 - p) * m))  # expected outlier count at this p
     rows = [

@@ -126,9 +126,12 @@ def test_complete_ascending_graph_never_computes_it(monkeypatch):
     calls = _counting(monkeypatch)
     graph = gen_complete(CompleteModelParams(n=40, p=0.3, seed=1))[0]
     assert graph._ascending
-    build_sync_matrix(graph)
-    assert connected_component_labels(graph)[0] == 1
-    assert not calls and "_adjacency" not in vars(graph)
+    # nor does the same graph with its edges shuffled: the build reads no order
+    for g in (graph, _shuffled_complete()):
+        build_sync_matrix(g)
+        assert connected_component_labels(g)[0] == 1
+        assert "_adjacency" not in vars(g)
+    assert not calls
 
 
 def test_read_only_and_not_shared_with_h():

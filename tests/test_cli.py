@@ -700,6 +700,15 @@ class TestTheory:
         assert run(["theory", "--n", "100", "--L", "1", "--p", "0.2"]) == 2
         assert "L must be" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args, message", [
+        (["--n", "100", "--p", "nan"], "error: p must lie in [0, 1], got nan\n"),
+        (["--n", "100", "--p", "inf"], "error: p must lie in [0, 1], got inf\n"),
+        (["--n", "-3", "--p", "0.2"], "error: n must be >= 1\n"),
+    ], ids=["p-nan", "p-inf", "n-negative"])
+    def test_bad_n_or_p_exits_2(self, capsys, args, message):
+        assert run(["theory", "--L", "4", *args]) == 2
+        assert capsys.readouterr().err == message
+
 
 def test_usage_error_exit_code():
     assert run(["no-such-command"]) == 2

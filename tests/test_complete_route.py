@@ -1,11 +1,11 @@
 """The complete-graph route of `build_sync_matrix` against the COO build.
 
-A complete graph whose edges ascend is laid out from n into one dense
-array, and the matrix holds that array alone.  Its CSR arrays, laid out
-when `entries` is first read, must be the bytes of the COO build (kept here
-as the reference; the route every other graph takes gives them too), the
-dense operand the bytes of ``entries.toarray()``, and lsqr's Laplacian the
-bytes of the sparse subtraction.  No solver reads the CSR.
+A complete graph from n = 4 on, its edges in any order, is built into one
+dense array, and the matrix holds that array alone.  Its CSR arrays, laid
+out when `entries` is first read, must be the bytes of the COO build (kept
+here as the reference; the route every other graph takes gives them too),
+the dense operand the bytes of ``entries.toarray()``, and lsqr's Laplacian
+the bytes of the sparse subtraction.  No solver reads the CSR.
 """
 
 import tracemalloc
@@ -16,7 +16,7 @@ import scipy.sparse as sp
 
 from angsync import cli, core, eig
 from angsync.baselines import LsqrOptions, SdpOptions, _laplacian, estimate_lsqr, estimate_sdp
-from angsync.core import OffsetGraph
+from angsync.core import OffsetGraph, SyncMatrix
 from angsync.eig import EigOptions, build_sync_matrix, estimate_eig
 from angsync.generators import (
     ClockModelParams,
@@ -67,23 +67,29 @@ def _clock():
                                       omega=1.0, seed=4))[0]
 
 
+def _shuffled(graph, seed=1):
+    perm = np.random.default_rng(seed).permutation(graph.m)
+    return OffsetGraph(n=graph.n, i=graph.i[perm], j=graph.j[perm], delta=graph.delta[perm])
+
+
 COMPLETE = {"complete-4": lambda: _complete(4),
             "complete-60": lambda: _complete(60),
             "complete-400": lambda: _complete(400),
             "complete-1000": lambda: _complete(1000),
             "zero-offsets": _zero_offsets,
-            "clock-p1": _clock}
+            "clock-p1": _clock,
+            "shuffled-400": lambda: _shuffled(_complete(400)),
+            "shuffled-zero-offsets": lambda: _shuffled(_zero_offsets())}
 
 
 @pytest.mark.parametrize("name", list(COMPLETE))
 def test_entries_and_operand_bytes(name):
     graph = COMPLETE[name]()
-    assert graph._ascending
     H = build_sync_matrix(graph)
     assert "_dense" in vars(H)  # carried from construction, not copied later
     assert "entries" not in vars(H)  # laid out on first read
     # answered from n while the CSR is not laid out
-    nnz, degrees, fits = H.nnz_offdiag, H._degrees(), H._dense_fits()
+    nnz, degrees = H.nnz_offdiag, H._degrees()
     ref = _coo_entries(graph)
     assert _csr_bytes(H.entries) == _csr_bytes(ref)
     assert H.entries.has_canonical_format is ref.has_canonical_format is True
@@ -91,7 +97,7 @@ def test_entries_and_operand_bytes(name):
     assert H._dense.tobytes() == ref.toarray().tobytes()
     assert nnz == H.nnz_offdiag == ref.nnz
     assert degrees.tobytes() == np.diff(ref.indptr).astype(np.float64).tobytes()
-    assert fits is H._dense_fits() is True
+    assert core._dense_fits(H.n, nnz) is True
 
 
 @pytest.mark.parametrize("name", ["complete-60", "zero-offsets", "clock-p1"])
@@ -109,7 +115,7 @@ def _no_csr(monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("laid out or copied a complete graph's CSR")
 
-    monkeypatch.setattr(core, "_complete_csr", fail)
+    monkeypatch.setattr(SyncMatrix.__dict__["entries"], "func", fail)
     monkeypatch.setattr(sp.csr_matrix, "toarray", fail)
 
 
@@ -147,19 +153,19 @@ def test_sweep_never_lays_out_the_csr(monkeypatch, tmp_path):
 
 def test_build_holds_one_n_squared_array():
     """The build's traced peak is the dense array plus buffers of a fixed
-    size: at most 1.1 times 16 n^2 bytes at n = 400, where holding the CSR
-    too takes about 2.25 times."""
+    size, in either edge order: at most 1.1 times 16 n^2 bytes at n = 400,
+    where holding the CSR too takes about 2.25 times."""
     n = 400
-    graph = _complete(n)
-    tracemalloc.start()
-    try:
-        start = tracemalloc.get_traced_memory()[0]
-        H = build_sync_matrix(graph)
-        peak = tracemalloc.get_traced_memory()[1] - start
-    finally:
-        tracemalloc.stop()
-    assert H._dense.nbytes == 16 * n * n
-    assert peak <= 1.1 * 16 * n * n
+    for graph in (_complete(n), _shuffled(_complete(n))):
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            H = build_sync_matrix(graph)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert "entries" not in vars(H) and H._dense.nbytes == 16 * n * n
+        assert peak <= 1.1 * 16 * n * n
 
 
 def test_zero_offset_case_has_signed_zeros():
@@ -177,25 +183,28 @@ def test_below_dense_size(n):
     assert H._dense is None  # 16 n^2 bytes exceed the CSR's below n = 4
 
 
+def _missing_edge():
+    """Complete n=60 without its first edge: not complete, yet dense-sized."""
+    g = _complete(60)
+    return OffsetGraph(n=g.n, i=g.i[1:], j=g.j[1:], delta=g.delta[1:])
+
+
 def test_shuffled_edges_take_coo_route():
-    graph = _complete(60)
-    perm = np.random.default_rng(1).permutation(graph.m)
-    shuffled = OffsetGraph(n=graph.n, i=graph.i[perm], j=graph.j[perm],
-                           delta=graph.delta[perm])
+    graph = _missing_edge()
+    shuffled = _shuffled(graph)
     assert not shuffled._ascending
     H = build_sync_matrix(shuffled)
-    assert "_dense" not in vars(H)
+    assert "entries" in vars(H)  # the general build's CSR, copied at construction
     assert _csr_bytes(H.entries) == _csr_bytes(build_sync_matrix(graph).entries)
     assert H._dense.tobytes() == build_sync_matrix(graph)._dense.tobytes()
 
 
 def test_missing_edge_takes_coo_route():
-    g = _complete(30)
-    graph = OffsetGraph(n=g.n, i=g.i[1:], j=g.j[1:], delta=g.delta[1:])
-    assert graph._ascending
+    graph = _missing_edge()
     H = build_sync_matrix(graph)
-    assert "_dense" not in vars(H)
+    assert "entries" in vars(H) and "_dense" in vars(H)
     assert _csr_bytes(H.entries) == _csr_bytes(_coo_entries(graph))
+    assert H._dense.tobytes() == _coo_entries(graph).toarray().tobytes()
 
 
 def test_shift_kept():
@@ -207,9 +216,7 @@ def test_shift_kept():
 
 
 def _shuffled_complete():
-    g = _complete(40)
-    perm = np.random.default_rng(2).permutation(g.m)
-    return OffsetGraph(n=g.n, i=g.i[perm], j=g.j[perm], delta=g.delta[perm])
+    return _shuffled(_complete(40), seed=2)
 
 
 @pytest.mark.parametrize("build", [

@@ -373,6 +373,9 @@ def _sync_matrix(a):
                  "good_mask length != m", id="truth-mask-length"),
     pytest.param(lambda: SyncMatrix(n=3, entries=sp.csr_matrix((2, 2))).validate(),
                  "entries shape mismatch", id="sync-shape"),
+    # refused when made, not by numpy's dimension check at the first product
+    pytest.param(lambda: SyncMatrix(n=3, entries=sp.csr_matrix((2, 2))),
+                 "entries shape mismatch", id="sync-shape-at-construction"),
     pytest.param(lambda: _sync_matrix([[0, 0.5], [0.5, 0]]).validate(),
                  "off-diagonal entries must have unit modulus", id="sync-modulus"),
     pytest.param(lambda: _sync_matrix([[0, 1], [1j, 0]]).validate(),

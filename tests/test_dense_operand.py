@@ -1,9 +1,10 @@
 """The dense product operand of `SyncMatrix` against the CSR it copies.
 
-A sync matrix multiplies through a dense copy of `entries` when 16 n^2 bytes
-is no more than the CSR's data, indices and indptr (complete and clock graphs
-from n = 4 on), and through the CSR otherwise.  On the dense graphs every
-product, and every solver built on them, must agree with the CSR.
+A sync matrix multiplies through a dense array when 16 n^2 bytes is no more
+than the CSR's data, indices and indptr (complete and clock graphs from
+n = 4 on), and through the CSR otherwise; the choice is made once, at
+construction.  On the dense graphs every product, and every solver built on
+them, must agree with the CSR.
 """
 
 import os
@@ -55,7 +56,7 @@ CSR = {"complete-3": lambda: _complete(3, 0.5, 1),
 def test_operand_choice(name):
     H = build_sync_matrix({**DENSE, **CSR}[name]())
     if name in DENSE:
-        assert H._dense is H._dense  # made once
+        assert H._dense is H._dense  # held from construction
         assert np.array_equal(H._dense, H.entries.toarray())
     else:
         assert H._dense is None
@@ -124,17 +125,17 @@ def _shuffled(graph):
 @pytest.mark.parametrize("route", ["complete", "shuffled"])
 def test_shifted_eig_shares_the_operand(route, monkeypatch):
     graph = _complete(400, 0.1, 7)
-    if route == "shuffled":  # the general build: the operand is made on the first product
-        graph = _shuffled(graph)
+    if route == "shuffled":  # one edge short of complete: the general build
+        graph = _shuffled(OffsetGraph(n=graph.n, i=graph.i[1:], j=graph.j[1:],
+                                      delta=graph.delta[1:]))
     opts = EigOptions(diagonal_shift=1.0, seed=3)
-    # the reference wraps the entries in a shifted matrix of its own, whose
-    # first product copies them into a fresh operand
+    # the reference wraps the entries in a shifted matrix of its own, which
+    # copies them into a fresh operand
     ref_H = SyncMatrix(n=graph.n, entries=build_sync_matrix(graph).entries,
                        diagonal_shift=1.0)
     ref = top_eigpair(ref_H, tol=opts.tol, max_iters=opts.max_iters, seed=opts.seed)
     ref_theta, ref_flagged = round_to_angles(ref.eigvec)
 
-    H = build_sync_matrix(graph)
     copies = []
     toarray = sp.csr_matrix.toarray
 
@@ -143,10 +144,11 @@ def test_shifted_eig_shares_the_operand(route, monkeypatch):
         return toarray(self, *args, **kwargs)
 
     monkeypatch.setattr(sp.csr_matrix, "toarray", spy)
+    H = build_sync_matrix(graph)
     est = estimate_eig(graph, opts, H=H)
     estimate_eig(graph, EigOptions(seed=3), H=H)
     # the complete route lays its operand out at the build; the general one
-    # copies once, on H itself, for both runs
+    # copies its CSR once, at construction, for both runs
     assert copies == ([] if route == "complete" else [(400, 400)])
     assert est.theta_hat.tobytes() == ref_theta.tobytes()
     assert est.eigvec.tobytes() == ref.eigvec.tobytes()

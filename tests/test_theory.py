@@ -196,6 +196,11 @@ class TestInformationThresholds:
         assert threshold_ratio(6) < 1.0
         assert threshold_ratio(7) > 1.0
 
+    @pytest.mark.parametrize("L", [math.nan, math.inf, -math.inf])
+    def test_L_non_finite(self, L):
+        with pytest.raises(InvalidInputError, match="L must be an integer >= 2"):
+            threshold_ratio(L)
+
     def test_L_validation(self):
         with pytest.raises(InvalidInputError):
             threshold_ratio(1)
