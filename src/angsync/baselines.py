@@ -4,6 +4,8 @@ The least-squares route minimizes sum |z_i - e^{i delta_ij} z_j|^2 with one
 entry pinned to 1 in each connected component.  Its normal equations are the
 connection Laplacian D - H grounded at those anchors (their rows and columns
 removed), solved for all components together by one conjugate-gradient run.
+D - H is applied through H's own product, x -> deg x - H x, so no second
+matrix is laid out.
 
 The SDP route maximizes the quadratic objective trace(H VV*) over complex
 factors V with unit-norm rows (a low-rank factorization of the feasible set
@@ -21,7 +23,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.sparse.linalg import LinearOperator, cg
 
 from . import eig
@@ -55,15 +56,17 @@ def estimate_lsqr(graph: OffsetGraph, opts: LsqrOptions | None = None, *,
     so the grounded connection Laplacian L_ff is block diagonal and the one
     solve gives each component's answer.  `tol` and `max_iters` apply to that
     one system; `iterations` counts its CG steps and `residual` is its
-    relative residual ||L_ff u - b|| / ||b||.  D - H and the Rayleigh
-    quotient use the given `H` (see `eig.sync_matrix_of`) when there is one.
+    relative residual ||L_ff u - b|| / ||b||.  L_ff is applied through H's
+    own product (deg x - H x, x being u padded with zeros at the anchors),
+    so no second matrix is laid out; it and the Rayleigh quotient use the
+    given `H` (see `eig.sync_matrix_of`) when there is one.
     """
     opts = opts or LsqrOptions()
     check_budget(opts.tol, opts.max_iters)
     t0 = time.perf_counter()
     n = graph.n
     H = eig.sync_matrix_of(graph, H)
-    L = _laplacian(H)
+    deg = H._degrees()
 
     ncomp, labels = connected_component_labels(graph)
     anchors = np.unique(labels, return_index=True)[1]
@@ -71,12 +74,15 @@ def estimate_lsqr(graph: OffsetGraph, opts: LsqrOptions | None = None, *,
     free[anchors] = False
     padded = np.zeros(n, dtype=np.complex128)
 
-    def grounded(u):  # L_ff u, as L applied to u padded with zeros at the anchors
+    def laplacian(x):  # (D - H) x, on H's own product
+        return deg * x - H.matvec(x)
+
+    def grounded(u):  # L_ff u, as D - H applied to u padded with zeros at the anchors
         padded[free] = u.ravel()
-        return (L @ padded)[free]
+        return laplacian(padded)[free]
 
     Lff = LinearOperator((n - ncomp, n - ncomp), matvec=grounded, dtype=np.complex128)
-    rhs = -(L @ (~free).astype(np.complex128))[free]
+    rhs = -laplacian((~free).astype(np.complex128))[free]
     max_iters = opts.max_iters if opts.max_iters is not None else 20 * n
     ticks = itertools.count()
     u, info = cg(Lff, rhs, rtol=opts.tol, atol=0.0, maxiter=max_iters,
@@ -93,28 +99,6 @@ def estimate_lsqr(graph: OffsetGraph, opts: LsqrOptions | None = None, *,
     return eig._estimate("lsqr", t0, z, v, float(np.vdot(v, H.matvec(v)).real), iterations,
                          residual, info == 0, components=int(ncomp),
                          disconnected=bool(ncomp > 1))
-
-
-def _laplacian(H: SyncMatrix) -> sp.csr_matrix:
-    """The connection Laplacian D - H as CSR, with the bytes of
-    ``(sp.diags(deg) - H.entries).tocsr()``.
-
-    H stores exactly the graph's 2m edge entries, so its row counts are the
-    degrees.  When it stores every off-diagonal entry and has a dense
-    operand, every row of D - H is full: its values are 0 - H, as the sparse
-    subtraction computes them, with the degrees on the diagonal, and its
-    pattern follows from n, so H's own CSR is never read."""
-    n = H.n
-    deg = H._degrees()
-    if H.nnz_offdiag != n * (n - 1) or H._dense is None:
-        return (sp.diags(deg) - H.entries).tocsr()
-    data = np.subtract(0.0, H._dense)
-    np.fill_diagonal(data, deg)
-    idx = sp.get_index_dtype(maxval=n * n)
-    indptr = np.arange(n + 1, dtype=idx)
-    indptr *= n
-    return sp.csr_matrix((data.reshape(-1), np.tile(np.arange(n, dtype=idx), n), indptr),
-                         shape=(n, n))
 
 
 RANK_TOLERANCE = 1e-6  # relative singular-value cutoff for theta_rank

@@ -277,13 +277,6 @@ class OffsetGraph:
         np.cumsum(counts, out=indptr[1:])
         return _lock(indptr), _lock(indices), _lock(slots)
 
-    def degrees(self) -> np.ndarray:
-        # counted in place: np.bincount would first copy each read-only array
-        deg = np.zeros(self.n, dtype=np.intp)
-        np.add.at(deg, self.i, 1)
-        np.add.at(deg, self.j, 1)
-        return deg
-
 
 @dataclass(frozen=True)
 class GroundTruth:

@@ -4,8 +4,9 @@ A complete graph from n = 4 on, its edges in any order, is built into one
 dense array, and the matrix holds that array alone.  Its CSR arrays, laid
 out when `entries` is first read, must be the bytes of the COO build (kept
 here as the reference; the route every other graph takes gives them too),
-the dense operand the bytes of ``entries.toarray()``, and lsqr's Laplacian
-the bytes of the sparse subtraction.  No solver reads the CSR.
+the dense operand the bytes of ``entries.toarray()``, and lsqr, which applies
+D - H through H's own product, the solve of the sparse subtraction's grounded
+CSR.  No solver reads the CSR.
 """
 
 import tracemalloc
@@ -13,10 +14,11 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import cg
 
 from angsync import cli, core, eig
-from angsync.baselines import LsqrOptions, SdpOptions, _laplacian, estimate_lsqr, estimate_sdp
-from angsync.core import OffsetGraph, SyncMatrix
+from angsync.baselines import LsqrOptions, SdpOptions, estimate_lsqr, estimate_sdp
+from angsync.core import OffsetGraph, SyncMatrix, connected_component_labels
 from angsync.eig import EigOptions, build_sync_matrix, estimate_eig
 from angsync.generators import (
     ClockModelParams,
@@ -168,6 +170,25 @@ def test_build_holds_one_n_squared_array():
         assert peak <= 1.1 * 16 * n * n
 
 
+def test_lsqr_holds_no_second_matrix():
+    """lsqr applies D - H through H's own product: its traced peak at
+    complete n = 400 stays below a quarter of one 16 n^2 array, where laying
+    out the Laplacian as a CSR takes about 1.3 times, and it leaves H's CSR
+    unlaid."""
+    n = 400
+    graph = _complete(n, p=0.1)
+    H = build_sync_matrix(graph)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        estimate_lsqr(graph, H=H)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * 16 * n * n
+    assert "entries" not in vars(H)
+
+
 def test_zero_offset_case_has_signed_zeros():
     ref = _coo_entries(_zero_offsets())
     assert np.signbit(ref.data.imag[ref.data.imag == 0.0]).any()
@@ -226,10 +247,28 @@ def _shuffled_complete():
     lambda: gen_small_world(SmallWorldParams(n=200, epsilon=0.1, p=0.5, seed=3))[0],
 ], ids=[*COMPLETE, "complete-3", "shuffled-complete", "small-world"])
 def test_laplacian_bytes(build):
-    H = build_sync_matrix(build())
+    """lsqr's one CG run on H's own product takes the steps of one CG run on
+    the explicit grounded CSR of the sparse subtraction D - H, and agrees
+    with it to rounding."""
+    graph = build()
+    H = build_sync_matrix(graph)
+    got = estimate_lsqr(graph, H=H)
+
+    n = graph.n
     deg = np.diff(H.entries.indptr).astype(np.float64)
-    ref = (sp.diags(deg) - H.entries).tocsr()
-    assert _csr_bytes(_laplacian(H)) == _csr_bytes(ref)
+    L = (sp.diags(deg) - H.entries).tocsr()
+    labels = connected_component_labels(graph)[1]
+    free = np.ones(n, dtype=bool)
+    free[np.unique(labels, return_index=True)[1]] = False
+    rhs = -(L @ (~free).astype(np.complex128))[free]
+    ticks = []
+    u, info = cg(L[free][:, free], rhs, rtol=LsqrOptions().tol, atol=0.0, maxiter=20 * n,
+                 callback=ticks.append)
+    z = np.ones(n, dtype=np.complex128)
+    z[free] = u
+    assert got.iterations == len(ticks)
+    assert got.diagnostics["converged"] == (info == 0)
+    assert np.abs(got.eigvec - z / np.linalg.norm(z)).max() <= 1e-13
 
 
 @pytest.mark.parametrize("shift", [0.0, 0.7])

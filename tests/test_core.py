@@ -203,10 +203,6 @@ class TestOffsetGraph:
         with pytest.raises(InvalidInputError, match="finite"):
             OffsetGraph(n=3, i=[0, 0], j=[1, 2], delta=[0.5, bad])
 
-    def test_degrees(self):
-        g = OffsetGraph(n=4, i=[0, 0, 1], j=[1, 2, 2], delta=[0, 0, 0])
-        assert g.degrees().tolist() == [2, 2, 2, 0]
-
 
 def _locked(values, dtype=np.int64):
     a = np.array(values, dtype=dtype)
@@ -666,12 +662,6 @@ class TestWorkArrayPasses:
                  graph.delta)
         assert all(a.tobytes() == b.tobytes() for a, b in zip(before, after))
         assert theta is est.theta_hat
-
-    def test_degrees_match_concatenated_count(self, instance):
-        graph = instance[0]
-        want = np.bincount(np.concatenate([graph.i, graph.j]), minlength=graph.n)
-        got = graph.degrees()
-        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def _raised(f, *args):
