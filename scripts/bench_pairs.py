@@ -15,8 +15,9 @@ per-layer self-time table included.
 Writes `BENCH_<label>.json`: for each pair the gated end-to-end metrics of
 BENCHMARK.json, each run's correctness and the digests it printed (its first
 round's instances and outputs, so a record shows whether both sides computed
-the same thing) and whether the two sides printed the same digests; the
-number of such pairs; per metric the median and quartiles of each side,
+the same thing), whether the two sides printed the same digests and, if not,
+which of the first round's digests differ; the number of pairs with the
+same digests; per metric the median and quartiles of each side,
 the number of pairs the working tree won and its `verdict` (see `verdict`,
 which also prints); and the environment (CPU count,
 Python, numpy and scipy versions, both revisions, and the paths where the
@@ -87,6 +88,16 @@ def run_bench(tree: Path, workload: str, seed: int, seconds: float, trace: int) 
 def same_digests(base: dict, change: dict) -> bool:
     """Whether both runs of a pair printed digests, and the same ones."""
     return base["digests"] is not None and base["digests"] == change["digests"]
+
+
+def differing_digests(base: dict, change: dict) -> list[str] | None:
+    """The sorted keys under ``round0`` whose digests differ between the two
+    runs of a pair (a key that one side lacks differs); None when either run
+    printed no digests."""
+    if base["digests"] is None or change["digests"] is None:
+        return None
+    a, b = base["digests"]["round0"], change["digests"]["round0"]
+    return sorted(key for key in a.keys() | b.keys() if a.get(key) != b.get(key))
 
 
 def quartiles(values):
@@ -194,6 +205,7 @@ def main(argv=None) -> int:
             for side in order:
                 pair[side] = run_bench(trees[side], args.workload, seed, seconds, 0)
             pair["same_digests"] = same_digests(pair["base"], pair["change"])
+            pair["differing_digests"] = differing_digests(pair["base"], pair["change"])
             pairs.append(pair)
             print(f"seed {seed}: " + "  ".join(
                 f"{side} {pair[side]['metrics']}" for side in ("base", "change")),

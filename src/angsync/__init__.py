@@ -25,7 +25,6 @@ from .core import (
     SyncMatrix,
     TooLargeError,
     ZeroMatrixError,
-    align_global_phase,
     circdist,
     evaluate,
     is_connected,
@@ -60,13 +59,12 @@ __all__ = [
     "CorrelationReport", "EigOptions", "GroundTruth", "InvalidInputError",
     "LsqrOptions", "NoTrianglesError", "OffsetGraph", "SdpOptions",
     "SmallWorldParams", "SyncMatrix", "TooLargeError", "ZeroMatrixError",
-    "align_global_phase", "build_sync_matrix", "circdist", "cluster_sizes",
-    "estimate_eig", "estimate_lsqr", "estimate_sdp", "evaluate",
-    "full_spectrum", "gen_clock", "gen_complete", "gen_small_world",
-    "histogram", "is_connected", "read_instance", "reduce_angles", "rho1",
-    "rho2", "round_to_angles", "sce", "sce_f", "sdp_objective", "solve",
-    "top_eigpair", "top_k_spectrum", "triangle_consistency_score",
-    "write_instance",
+    "build_sync_matrix", "circdist", "cluster_sizes", "estimate_eig",
+    "estimate_lsqr", "estimate_sdp", "evaluate", "full_spectrum", "gen_clock",
+    "gen_complete", "gen_small_world", "histogram", "is_connected",
+    "read_instance", "reduce_angles", "rho1", "rho2", "round_to_angles", "sce",
+    "sce_f", "sdp_objective", "solve", "top_eigpair", "top_k_spectrum",
+    "triangle_consistency_score", "write_instance",
 ]
 
 __version__ = "0.1.0"

@@ -143,6 +143,15 @@ def _options(method: str, given: dict, defaults: dict | None = None):
                       if flag in values})
 
 
+def _objective(H, theta) -> float:
+    """The quadratic objective sum_ij conj(z_i) H_ij z_j at z = e^{i theta},
+    as Re<z, Hz> on the unshifted H the estimate was solved on: one product
+    with H in place of a cosine per edge.  Its last bits can differ from the
+    per-edge sum's, which adds the same terms in another order."""
+    z = np.exp(1j * theta)
+    return float(np.vdot(z, H.matvec(z)).real)
+
+
 def cmd_solve(args) -> int:
     opts = _options(args.method, {"--tol": args.tol, "--max-iters": args.max_iters,
                                   "--shift": args.shift, "--seed": args.seed})
@@ -150,9 +159,11 @@ def cmd_solve(args) -> int:
     graph, mask = _read_instance(path)
     truth = _load_truth(path, mask)
 
-    est = baselines.solve(graph, args.method, opts)
+    H = eig.build_sync_matrix(graph)
+    est = baselines.solve(graph, args.method, opts, H=H)
     converged = est.diagnostics["converged"]
-    objective = baselines.sdp_objective(graph, est.theta_hat)
+    objective = _objective(H, est.theta_hat)
+    del H  # held through `evaluate`, it would set the process's peak
 
     print(f"method={est.method_tag} n={graph.n} m={graph.m}")
     print(f"lambda1={est.top_eigval:.6f} objective={objective:.6f} "
@@ -172,10 +183,11 @@ def _sweep_task(task):
     """One (p, trial) cell of a sweep; returns its output row dicts, one per method.
 
     The instance's sync matrix is built once and shared by every method, so
-    a row's wall_ms leaves out the build.  A method that finds the matrix
-    zero (an instance without edges) gets a row with the instance and
-    predictor columns, its solver columns left empty, and the reason under
-    "skipped"; the other methods and instances go on."""
+    a row's wall_ms leaves out the build, and its objective is taken on that
+    matrix.  A method that finds the matrix zero (an instance without edges)
+    gets a row with the instance and predictor columns, its solver columns
+    left empty, and the reason under "skipped"; the other methods and
+    instances go on."""
     model, params, solvers, deterministic = task
     n, p, seed = params.n, params.p, params.seed
     graph, truth = _generate(params)
@@ -201,7 +213,7 @@ def _sweep_task(task):
         report = evaluate(graph, truth, est)
         rows.append({
             **row, "rho1": report.rho1, "rho2": report.rho2, "lambda1": est.top_eigval,
-            "objective": baselines.sdp_objective(graph, est.theta_hat),
+            "objective": _objective(H, est.theta_hat),
             "iterations": est.iterations,
             "wall_ms": 0.0 if deterministic else est.diagnostics["wall_ms"],
         })

@@ -428,15 +428,6 @@ class SyncMatrix:
         a = vars(self).get("entries")
         return self.n * (self.n - 1) if a is None else a.nnz
 
-    def validate(self, atol: float = 1e-12) -> None:
-        a = self.entries
-        if a.nnz and np.abs(np.abs(a.data) - 1.0).max() > atol:
-            raise InvalidInputError("off-diagonal entries must have unit modulus")
-        if np.abs((a - a.conj().T).data).max(initial=0.0) > atol:
-            raise InvalidInputError("entries must be Hermitian")
-        if a.diagonal().any():
-            raise InvalidInputError("diagonal must live in diagonal_shift")
-
 
 @dataclass(frozen=True)
 class AngleEstimate:
@@ -544,15 +535,6 @@ def sce_f(theta, graph: OffsetGraph, theta0: float = DEFAULT_THETA0) -> float:
     _check_theta0(theta0)
     diffs, work = _edge_diffs(theta, graph)
     return _soft_penalty(diffs, graph.delta, theta0, work, np.empty_like(diffs))
-
-
-def align_global_phase(theta_hat, theta_ref) -> np.ndarray:
-    """Shift the estimate by the phase of the mean phasor so per-angle errors
-    are reported in a common gauge.  rho1/rho2 themselves need no alignment."""
-    a = np.asarray(theta_hat, dtype=np.float64)
-    b = np.asarray(theta_ref, dtype=np.float64)
-    phi = np.angle(np.sum(np.exp(1j * (b - a))))
-    return reduce_angles(a + phi)
 
 
 def evaluate(graph: OffsetGraph, truth: GroundTruth, estimate: AngleEstimate,

@@ -153,6 +153,21 @@ def test_same_digests(change, same):
     assert bench_pairs.same_digests({"digests": None}, {"digests": None}) is False
 
 
+@pytest.mark.parametrize("change, differing", [
+    (DIGESTS, []),
+    ({"round0": {"instances": ["ab"], "sweep_csv": "00"}, "replay_matches": False},
+     ["sweep_csv"]),
+    ({"round0": {"instances": ["00"], "sweep_csv": "00"}, "replay_matches": True},
+     ["instances", "sweep_csv"]),
+    ({"round0": {"instances": ["ab"]}, "replay_matches": True}, ["sweep_csv"]),
+    (None, None),
+], ids=["equal", "one-output", "instances-and-output", "key-missing", "missing"])
+def test_differing_digests(change, differing):
+    # only the first round's digests are compared, by key, sorted
+    assert bench_pairs.differing_digests({"digests": DIGESTS}, {"digests": change}) == differing
+    assert bench_pairs.differing_digests({"digests": None}, {"digests": DIGESTS}) is None
+
+
 @pytest.mark.parametrize("differ_at, expected", [(None, 3), (1002, 2)])
 def test_record_counts_pairs_with_same_digests(monkeypatch, tmp_path, capsys,
                                                differ_at, expected):
@@ -178,6 +193,7 @@ def test_record_counts_pairs_with_same_digests(monkeypatch, tmp_path, capsys,
     assert record["same_digests_pairs"] == expected
     assert [p["same_digests"] for p in record["pairs"]] == [
         p["seed"] != differ_at for p in record["pairs"]]
+    assert [p["differing_digests"] for p in record["pairs"]] == [[], [], []]
     out = capsys.readouterr().out
     assert f"same digests on {expected}/3 pairs" in out
     assert record["summary"]["setup_s"]["verdict"] == "held"  # equal runs on both sides

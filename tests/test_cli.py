@@ -5,6 +5,7 @@ import importlib.util
 import json
 import os
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,13 @@ import pytest
 
 from angsync import baselines, cli, eig, generators
 from angsync.cli import derive_seed, main
-from angsync.core import InvalidInputError, ZeroMatrixError, read_instance, write_instance
+from angsync.core import (
+    InvalidInputError,
+    OffsetGraph,
+    ZeroMatrixError,
+    read_instance,
+    write_instance,
+)
 
 
 _PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -363,6 +370,83 @@ class TestWallMs:
         assert stamped == [method]
 
 
+def _objective_graphs():
+    complete = generators.gen_complete(generators.CompleteModelParams(n=60, p=0.3, seed=5))[0]
+    small_world = generators.gen_small_world(
+        generators.SmallWorldParams(n=200, epsilon=0.3, p=0.5, seed=5))[0]
+    clock = generators.gen_clock(generators.ClockModelParams(
+        n=80, edge_probability=0.5, sigma_good=0.01, outlier_fraction=0.3,
+        outlier_scale=5.0, omega=1.0, seed=5))[0]
+    edgeless = OffsetGraph(n=5, i=[], j=[], delta=[])
+    return {"complete": (complete, True), "small-world": (small_world, False),
+            "clock": (clock, False), "edgeless": (edgeless, False)}
+
+
+class TestObjective:
+    """solve and sweep take the objective as Re<z, Hz> on the H they built,
+    which agrees with the per-edge cosine sum `sdp_objective` but for the
+    last bits."""
+
+    @pytest.mark.parametrize("kind", ["complete", "small-world", "clock", "edgeless"])
+    def test_agrees_with_sdp_objective(self, kind):
+        graph, dense = _objective_graphs()[kind]
+        H = eig.build_sync_matrix(graph)
+        assert (H._dense is not None) == dense  # both operands are covered
+        rng = np.random.default_rng(3)
+        for theta in (np.zeros(graph.n), rng.uniform(0.0, 2 * np.pi, graph.n)):
+            f = baselines.sdp_objective(graph, theta)
+            got = cli._objective(H, theta)
+            if graph.m == 0:
+                assert got == f == 0.0
+            else:
+                assert abs(got - f) <= 1e-13 * max(1.0, abs(f)), kind
+
+    @pytest.mark.parametrize("method, extra", [("eig", []), ("eig", ["--shift", "2"]),
+                                               ("lsqr", []), ("sdp", [])],
+                             ids=["eig", "eig-shift", "lsqr", "sdp"])
+    def test_solve_prints_sdp_objective(self, tmp_path, capsys, monkeypatch, method, extra):
+        # taken on the unshifted H, so a shift moves the estimate only
+        out = tmp_path / "inst.txt"
+        run(["generate", "--model", "complete", "--n", "30", "--p", "0.5",
+             "--seed", "3", "--out", str(out)])
+        estimates = []
+        solve = baselines.solve
+
+        def recording(*args, **kwargs):
+            estimates.append(solve(*args, **kwargs))
+            return estimates[-1]
+
+        monkeypatch.setattr(baselines, "solve", recording)
+        capsys.readouterr()
+        assert run(["solve", str(out), "--method", method, *extra]) == 0
+        graph = read_instance(out)[0]
+        objective = baselines.sdp_objective(graph, estimates[0].theta_hat)
+        assert f" objective={objective:.6f} " in capsys.readouterr().out
+
+    @pytest.mark.parametrize("method", ["eig", "lsqr", "sdp"])
+    def test_solve_drops_h_before_evaluate(self, tmp_path, monkeypatch, method):
+        # H held through `evaluate` would raise the process's peak memory
+        out = tmp_path / "inst.txt"
+        run(["generate", "--model", "complete", "--n", "60", "--p", "0.5",
+             "--seed", "3", "--out", str(out)])
+        refs, alive = [], []
+        build, evaluate = eig.build_sync_matrix, cli.evaluate
+
+        def tracked(*args, **kwargs):
+            H = build(*args, **kwargs)
+            refs.append(weakref.ref(H))
+            return H
+
+        def checked(*args, **kwargs):
+            alive.extend(ref() is not None for ref in refs)
+            return evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(eig, "build_sync_matrix", tracked)
+        monkeypatch.setattr(cli, "evaluate", checked)
+        assert run(["solve", str(out), "--method", method]) == 0
+        assert refs and alive == [False] * len(refs)
+
+
 def read_csv(path):
     with open(path) as fh:
         lines = [ln for ln in fh if not ln.startswith("#")]
@@ -583,13 +667,17 @@ class TestSweep:
         # when lsqr came to apply D - H through H's own product instead of a
         # Laplacian CSR: its sums run in another order, so the last digits of
         # the four lsqr rows moved, while the eig rows and every `iterations`
-        # cell kept their bytes
+        # cell kept their bytes.  Re-pinned again when the objective column
+        # came to be Re<z, Hz> on the instance's H instead of a cosine sum
+        # over the edges: the same terms summed in another order, so the last
+        # digits of 6 of the 8 `objective` cells moved, while every other
+        # cell and the aggregate file kept their bytes
         out = tmp_path / "sw.csv"
         assert run(["sweep", "--model", "complete", "--n", "60", "--p", "0.4,0.2",
                     "--method", "eig,lsqr", "--trials", "2", "--deterministic",
                     "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "48c02613e336a36a0946cb53443e0f0bf8a7119221451d74ab3f530ca41c177a")
+            "84d27829f24491a533fb33eb11cc8d48b3a88aa2dae72ea2a5e257a4d4bbb76a")
 
     def test_default_tol_and_budget_resolve_as_before(self, tmp_path):
         a = tmp_path / "a.csv"

@@ -75,11 +75,14 @@ class TestBuildSyncMatrix:
     def test_hermitian_and_structure(self):
         graph, _ = gen_complete(CompleteModelParams(n=20, p=0.5, seed=4))
         H = build_sync_matrix(graph, 0.3)
-        H.validate()
         dense = H.to_dense()
         assert np.max(np.abs(dense - dense.conj().T)) == 0.0
         assert H.nnz_offdiag == 2 * graph.m
-        assert np.allclose(np.abs(H.entries.data), 1.0)
+        # unit-modulus entries, Hermitian, the shift kept off the stored diagonal
+        a = H.entries
+        assert np.abs(np.abs(a.data) - 1.0).max() <= 1e-12
+        assert np.abs((a - a.conj().T).data).max(initial=0.0) == 0.0
+        assert not a.diagonal().any()
 
     @pytest.mark.parametrize("graph", [
         gen_complete(CompleteModelParams(n=60, p=0.3, seed=5))[0],
