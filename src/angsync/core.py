@@ -502,17 +502,27 @@ def _edge_diffs(theta, graph: OffsetGraph):
     return diffs, work
 
 
-def _violations(diffs, delta, tol, a, b) -> int:
-    """sce from the edge differences, with `a` and `b` as work arrays."""
+def _violations(diffs, delta, tol, a) -> int:
+    """sce from the edge differences, with `a` as a work array.
+
+    a = reduce(diffs) and delta both lie in [0, 2pi), so the rounded a - delta
+    lies in [-delta, a] and |a - delta| < 2pi is its own value mod 2pi: the
+    circular distance is min(|a - delta|, 2pi - |a - delta|), which exceeds
+    `tol` exactly when both terms do (NaN exceeds nothing either way)."""
     _reduce(diffs, a)
-    np.subtract(a, delta, out=b)
-    return int(np.count_nonzero(_circdist0(b, a) > tol))
+    a -= delta
+    np.abs(a, out=a)
+    far = a > tol
+    np.subtract(TWO_PI, a, out=a)
+    np.greater(a, tol, out=far, where=far)
+    return int(np.count_nonzero(far))
 
 
-def _soft_penalty(diffs, delta, theta0, a, b) -> float:
-    """sce_f from the edge differences, with `a` and `b` as work arrays."""
-    np.subtract(diffs, delta, out=a)
-    d = _circdist0(a, b)
+def _soft_penalty(diffs, delta, theta0, a) -> float:
+    """sce_f from the edge differences, which it overwrites, with `a` as a
+    work array."""
+    diffs -= delta
+    d = _circdist0(diffs, a)
     d /= theta0
     np.square(d, out=d)
     np.minimum(1.0, d, out=d)
@@ -523,7 +533,7 @@ def sce(theta, graph: OffsetGraph, tol: float) -> int:
     """Count of offset equations violated beyond `tol` (circular distance)."""
     _check_sce_tol(tol)
     diffs, work = _edge_diffs(theta, graph)
-    return _violations(diffs, graph.delta, tol, work, np.empty_like(diffs))
+    return _violations(diffs, graph.delta, tol, work)
 
 
 def sce_f(theta, graph: OffsetGraph, theta0: float = DEFAULT_THETA0) -> float:
@@ -534,15 +544,15 @@ def sce_f(theta, graph: OffsetGraph, theta0: float = DEFAULT_THETA0) -> float:
     """
     _check_theta0(theta0)
     diffs, work = _edge_diffs(theta, graph)
-    return _soft_penalty(diffs, graph.delta, theta0, work, np.empty_like(diffs))
+    return _soft_penalty(diffs, graph.delta, theta0, work)
 
 
 def evaluate(graph: OffsetGraph, truth: GroundTruth, estimate: AngleEstimate,
              sce_tol: float = 1e-6, theta0: float = DEFAULT_THETA0) -> CorrelationReport:
     """Score an estimate against ground truth and against the measurements.
 
-    sce and sce_f share one gather of theta_hat[i] - theta_hat[j] and two
-    work arrays.  The checks run in the order that calling rho1, rho2, sce
+    sce and sce_f share one gather of theta_hat[i] - theta_hat[j] and one
+    work array.  The checks run in the order that calling rho1, rho2, sce
     and sce_f one after the other would run them, so a bad input raises the
     same error."""
     r1 = rho1(estimate.theta_hat, truth.theta)
@@ -550,11 +560,10 @@ def evaluate(graph: OffsetGraph, truth: GroundTruth, estimate: AngleEstimate,
     _check_sce_tol(sce_tol)
     diffs, a = _edge_diffs(estimate.theta_hat, graph)
     _check_theta0(theta0)
-    b = np.empty_like(diffs)
     return CorrelationReport(
         rho1=r1, rho2=r2,
-        sce=_violations(diffs, graph.delta, sce_tol, a, b),
-        sce_f=_soft_penalty(diffs, graph.delta, theta0, a, b),
+        sce=_violations(diffs, graph.delta, sce_tol, a),
+        sce_f=_soft_penalty(diffs, graph.delta, theta0, a),
     )
 
 

@@ -1,12 +1,14 @@
 """The spectral estimator: top eigenvector of the phase-offset matrix.
 
 Build the Hermitian matrix H with e^{i delta_ij} at measured pairs, compute
-its top (largest algebraic) eigenpair by implicitly restarted Arnoldi on
-the Hermitian H (ARPACK's complex driver through ``scipy.sparse.linalg.eigs``,
-which is what ``eigsh`` calls for complex matrices), and read the angle
-estimates off the entrywise phases of the eigenvector.  A complete graph's H
-is built straight into a dense array, and the products with any other H run
-on a dense copy of its CSR when that copy is no larger (see `SyncMatrix`).
+its top (largest algebraic) eigenpair by implicitly restarted Lanczos, and
+read the angle estimates off the entrywise phases of the eigenvector.
+ARPACK has no complex Hermitian driver, so its symmetric one (``eigsh``)
+runs on H's real form: a complex n-vector viewed as 2n interleaved reals,
+on which H = A + iB acts as the real symmetric [[A, -B], [B, A]] with its
+rows and columns interleaved.  A complete graph's H is built straight into
+a dense array, and the products with any other H run on a dense copy of
+its CSR when that copy is no larger (see `SyncMatrix`).
 
 The iteration budget counts applications of H.  Convergence is decided by an
 explicit residual check on the returned pair, not by ARPACK's own flag, and
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigs
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .core import (
     AngleEstimate,
@@ -133,10 +135,17 @@ class _BudgetSpent(Exception):
 
 def top_eigpair(H: SyncMatrix, tol: float = 1e-10, max_iters: int | None = None,
                 seed: int = 0) -> EigpairResult:
-    """Top (largest algebraic) eigenpair of H by implicitly restarted Arnoldi.
+    """Top (largest algebraic) eigenpair of H by implicitly restarted Lanczos.
 
-    ARPACK (``eigs``, ``which="LR"``, as ``eigsh`` would call it) runs on a
-    counting operator over `H.matvec`.
+    ARPACK's symmetric driver (``eigsh``, ``which="LA"``) runs on a counting
+    operator over `H.matvec` in H's real form of size 2n, where each complex
+    vector is viewed, not copied, as its interleaved real and imaginary
+    parts.  Every eigenvalue appears twice there (v and iv), but H's Lanczos
+    coefficients are real, so the real recurrence from the start vector is
+    the complex one and meets each eigenvalue once: k = 1 is exact, while a
+    k > 1 call would return each value twice (so `spectra` stays on
+    ``eigs``).  `ncv` is ``min(n + 1, 20)``, ``eigsh``'s default from
+    n = 20 on, so a tiny graph takes n + 3 applications, not 2n + 2.
     `max_iters` budgets applications of H, including the one explicit
     residual check on return: converged means ||Hv - lambda v|| <= tol *
     |lambda| with lambda the Rayleigh quotient at the returned unit v.  When
@@ -163,25 +172,29 @@ def top_eigpair(H: SyncMatrix, tol: float = 1e-10, max_iters: int | None = None,
     best_rq, best = -np.inf, v
 
     def counted_matvec(x):
+        # x and the product are real views of complex n-vectors; ARPACK's
+        # work slices start at multiples of 2n, so the views are aligned
         nonlocal applied, best_rq, best
         if applied >= max_iters - 1:
             raise _BudgetSpent
         applied += 1
-        y = H.matvec(x)
-        nrm = np.linalg.norm(x)
-        rq = float(np.vdot(x, y).real) / nrm**2
+        y = H.matvec(x.view(np.complex128)).view(np.float64)
+        xx = x @ x
+        rq = float(x @ y) / xx  # Re<x, Hx> / ||x||^2
         if rq > best_rq:
-            best_rq, best = rq, x / nrm
+            # a new array: ARPACK reuses the memory that x lies in
+            best_rq, best = rq, x.view(np.complex128) / math.sqrt(xx)
         return y
 
     if H.n < 3:
         v = np.linalg.eigh(H.to_dense())[1][:, -1]
     else:
-        op = LinearOperator((H.n, H.n), matvec=counted_matvec, dtype=np.complex128)
+        op = LinearOperator((2 * H.n, 2 * H.n), matvec=counted_matvec, dtype=np.float64)
         try:
-            _, vecs = eigs(op, k=1, which="LR", v0=v, tol=tol, maxiter=max_iters,
-                           rng=rng)
-            v = vecs[:, 0] / np.linalg.norm(vecs[:, 0])
+            _, vecs = eigsh(op, k=1, which="LA", v0=v.view(np.float64),
+                            ncv=min(H.n + 1, 20), tol=tol, maxiter=max_iters, rng=rng)
+            v = vecs[:, 0].view(np.complex128)
+            v = v / np.linalg.norm(v)
         except (_BudgetSpent, ArpackNoConvergence):
             v = best
 

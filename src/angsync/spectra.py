@@ -9,7 +9,10 @@ copy of H on dense graphs (see `SyncMatrix`).  It stops at a relative
 residual of `ARPACK_TOL`, not at machine precision: the values it returns
 are then within about 1e-14 * |lambda_1| of the dense ones.  Its start vector
 and restart draws are seeded, so the same H gives the same values bit for
-bit.
+bit.  It stays on the complex driver, unlike `eig.top_eigpair`'s k = 1
+Lanczos on H's real form: there every eigenvalue appears twice, and for
+k > 1 ``eigsh`` returns each one twice, so the k values it gives are not
+H's k largest.
 """
 
 from __future__ import annotations

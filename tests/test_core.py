@@ -628,6 +628,26 @@ class TestWorkArrayPasses:
                 assert _bits(sdp_objective(graph, theta)) == _bits(
                     _sdp_objective_reference(graph, theta)), name
 
+    def test_one_work_array_matches_public_functions(self, instance):
+        # sce takes |a - delta| for its own circular distance (both terms lie
+        # in [0, 2pi)); the counts and sums must match circdist's to the bit
+        graph, truth, _, thetas = instance
+        rng = np.random.default_rng(7)
+        nan = rng.uniform(-20.0, 20.0, graph.n)
+        nan[graph.n // 2] = np.nan
+        thetas = {**thetas, "uniform-20": rng.uniform(-20.0, 20.0, graph.n), "nan": nan}
+        with np.errstate(invalid="ignore"):
+            for name, th in thetas.items():
+                x = th[graph.i] - th[graph.j]
+                for tol in (0.0, 1e-6, 0.5):
+                    want = np.count_nonzero(circdist(reduce_angles(x), graph.delta) > tol)
+                    assert sce(th, graph, tol) == want, (name, tol)
+                want_f = np.sum(np.minimum(1.0, (circdist(x, graph.delta) / 0.3) ** 2))
+                assert _bits(sce_f(th, graph, 0.3)) == _bits(want_f), name
+                report = evaluate(graph, truth, _estimate(th), 1e-6, 0.3)
+                assert report.sce == sce(th, graph, 1e-6), name
+                assert _bits(report.sce_f) == _bits(want_f), name
+
     def test_inputs_untouched(self, instance):
         graph, truth, _, thetas = instance
         theta = thetas["spread"].copy()

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.integrate import quad
+from scipy.sparse.linalg import LinearOperator, eigs
 
 import angsync.eig
 
@@ -25,7 +26,14 @@ from angsync.eig import (
     top_eigpair,
     triangle_consistency_score,
 )
-from angsync.generators import CompleteModelParams, SmallWorldParams, gen_complete, gen_small_world
+from angsync.generators import (
+    ClockModelParams,
+    CompleteModelParams,
+    SmallWorldParams,
+    gen_clock,
+    gen_complete,
+    gen_small_world,
+)
 
 
 def all_good_triangle(theta):
@@ -98,6 +106,36 @@ class TestBuildSyncMatrix:
         assert entries.data.tobytes() == ref.data.tobytes()
 
 
+def complex_arnoldi_reference(H, tol, seed):
+    """(eigenvalue, unit eigenvector, applications) of ARPACK's complex
+    driver on H, from `top_eigpair`'s start vector and generator; the
+    applications count the residual check, as `top_eigpair` does."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(17,)))
+    v0 = rng.normal(size=H.n) + 1j * rng.normal(size=H.n)
+    v0 /= np.linalg.norm(v0)
+    calls = []
+
+    def matvec(x):
+        calls.append(1)
+        return H.matvec(x)
+
+    op = LinearOperator((H.n, H.n), matvec=matvec, dtype=np.complex128)
+    vals, vecs = eigs(op, k=1, which="LR", v0=v0, tol=tol,
+                      maxiter=default_max_iters(H.n), rng=rng)
+    return vals[0].real, vecs[:, 0] / np.linalg.norm(vecs[:, 0]), len(calls) + 1
+
+
+LANCZOS_GRAPHS = {
+    "complete-60": lambda: gen_complete(CompleteModelParams(n=60, p=0.05, seed=1))[0],
+    "complete-400": lambda: gen_complete(CompleteModelParams(n=400, p=0.05, seed=1))[0],
+    "small-world-200": lambda: gen_small_world(
+        SmallWorldParams(n=200, epsilon=0.3, p=0.5, seed=2))[0],
+    "clock-100": lambda: gen_clock(ClockModelParams(
+        n=100, edge_probability=0.5, sigma_good=0.05, outlier_fraction=0.3,
+        outlier_scale=20.0, omega=1.0, seed=3))[0],
+}
+
+
 class TestTopEigpair:
     def test_two_by_two(self):
         g = OffsetGraph(n=2, i=[0], j=[1], delta=[0.0])
@@ -136,6 +174,8 @@ class TestTopEigpair:
             assert not res.converged
             assert res.iterations == max_iters
             assert abs(np.linalg.norm(res.eigvec) - 1.0) < 1e-12
+            # a copy, never a view of ARPACK's reused work space
+            assert res.eigvec.dtype == np.complex128 and res.eigvec.flags.owndata
 
     def test_converged_run_counts_applications_below_budget(self):
         graph, _ = gen_complete(CompleteModelParams(n=60, p=0.5, seed=7))
@@ -181,20 +221,39 @@ class TestTopEigpair:
             top_eigpair(H, max_iters=0)
 
     def test_arpack_gets_the_seeded_generator(self, monkeypatch):
-        # eigsh hands a complex operator to eigs without its generator
         states = []
-        real = angsync.eig.eigs
+        real = angsync.eig.eigsh
 
         def spy(*args, rng=None, **kwargs):
             states.append(rng.bit_generator.state)
             return real(*args, rng=rng, **kwargs)
 
-        monkeypatch.setattr(angsync.eig, "eigs", spy)
+        monkeypatch.setattr(angsync.eig, "eigsh", spy)
         graph, _ = gen_complete(CompleteModelParams(n=30, p=0.5, seed=6))
         top_eigpair(build_sync_matrix(graph), tol=1e-10, seed=42)
         expected = np.random.default_rng(np.random.SeedSequence(42, spawn_key=(17,)))
         expected.normal(size=30), expected.normal(size=30)  # the start vector
         assert states == [expected.bit_generator.state]
+
+    @pytest.mark.parametrize("name", sorted(LANCZOS_GRAPHS))
+    def test_real_form_matches_complex_arnoldi(self, name):
+        # the symmetric driver on H's real form against ARPACK's complex
+        # driver on H, from the same start vector with the same tol and budget
+        H = build_sync_matrix(LANCZOS_GRAPHS[name]())
+        res = top_eigpair(H, tol=1e-10, seed=4)
+        lam, v, applications = complex_arnoldi_reference(H, tol=1e-10, seed=4)
+        assert res.converged
+        assert res.iterations == applications
+        assert abs(res.eigval - lam) <= 1e-12 * abs(lam)
+        assert abs(np.vdot(v, res.eigvec)) >= 1 - 1e-12
+
+    @pytest.mark.parametrize("n", [4, 10])
+    def test_tiny_graph_applications(self, n):
+        # ncv = n + 1 below n = 19: n + 2 products and the residual check
+        graph, _ = gen_complete(CompleteModelParams(n=n, p=0.5, seed=1))
+        res = top_eigpair(build_sync_matrix(graph), tol=1e-10, seed=0)
+        assert res.converged
+        assert res.iterations == n + 3
 
     @pytest.mark.parametrize("n,p,seed", [(5, 1.0, 1), (8, 0.7, 2), (12, 0.7, 3)])
     def test_oracle_equivalence_dense(self, n, p, seed):
