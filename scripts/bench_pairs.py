@@ -20,8 +20,9 @@ which of the first round's digests differ; the number of pairs with the
 same digests; per metric the median and quartiles of each side,
 the number of pairs the working tree won and its `verdict` (see `verdict`,
 which also prints); and the environment (CPU count,
-Python, numpy and scipy versions, both revisions, and the paths where the
-working tree differs from its HEAD).
+Python, numpy and scipy versions, both revisions, the paths where the
+working tree differs from its HEAD, and each tree's line count of
+src/angsync/*.py as `src_lines`).
 After the change is committed, pass `--base HEAD~1`.  Exits 1 when any run
 reported a failed check, and 2, with one line on stderr and nothing run,
 when `--seeds`, `--tmpdir` or `--base` is bad.
@@ -62,6 +63,12 @@ def export_revision(rev: str, dest: Path) -> None:
     archive = subprocess.run(["git", "archive", "--format=tar", rev], cwd=ROOT,
                              check=True, capture_output=True).stdout
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
+
+
+def src_lines(tree: Path) -> int:
+    """The total line count of `tree`'s src/angsync/*.py, as ``wc -l`` gives it."""
+    return sum(path.read_bytes().count(b"\n")
+               for path in (tree / "src" / "angsync").glob("*.py"))
 
 
 def run_bench(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -198,6 +205,7 @@ def main(argv=None) -> int:
     try:
         export_revision(base_rev, tmp)
         trees = {"base": tmp, "change": ROOT}
+        lines = {side: src_lines(tree) for side, tree in trees.items()}
         pairs = []
         for k, seed in enumerate(seeds):
             order = ("base", "change") if k % 2 == 0 else ("change", "base")
@@ -240,6 +248,7 @@ def main(argv=None) -> int:
             "change_revision": git("rev-parse", "HEAD"),
             # paths where the working tree differs from change_revision
             "change_uncommitted": git("status", "--porcelain").splitlines(),
+            "src_lines": lines,
         },
     }
     out = ROOT / f"BENCH_{args.label}.json"

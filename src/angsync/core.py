@@ -147,13 +147,20 @@ def _lock(arr):
     return arr
 
 
-def _adopt(x, dtype) -> np.ndarray:
-    """`x` itself when it is a read-only `dtype` array that owns its memory,
-    else a new `dtype` array with its values."""
-    if (isinstance(x, np.ndarray) and x.dtype == dtype and x.flags.owndata
+def _adopt_index(name: str, x) -> np.ndarray:
+    """`x` itself when it is a read-only int64 array that owns its memory,
+    else a new int64 array with its values.  Raises InvalidInputError naming
+    `name` when a value is not integral (0.5, NaN or inf); a float array of
+    integral values, as ``np.loadtxt`` gives, is taken."""
+    if (isinstance(x, np.ndarray) and x.dtype == np.int64 and x.flags.owndata
             and not x.flags.writeable):
         return x
-    return np.array(x, dtype=dtype)
+    a = np.asarray(x)
+    if a.dtype.kind not in "iub":
+        a = np.asarray(a, dtype=np.float64)
+        if not (np.isfinite(a).all() and (np.floor(a) == a).all()):
+            raise InvalidInputError(f"{name} must hold integers")
+    return np.array(a, dtype=np.int64)
 
 
 def _row_entries(indptr, rows):
@@ -183,12 +190,13 @@ class OffsetGraph:
     read-only int64 array owning its memory is adopted as it is: the caller
     hands it over (as the generators do with the index arrays they make).
     Any other `i` or `j`, a writable array or a read-only view included, is
-    copied, and `delta` is always reduced into a new array.  The checks run
-    over blocks of `_CHECK_BLOCK` edges, so they make no m-sized temporary
-    unless the edges do not ascend in (i, j) order, when the duplicate
-    check sorts one array of the codes i * n + j in place.  Whether they
-    ascend is kept as `_ascending` for the tests of that check; the sync
-    matrix build does not read it.
+    copied; its values must be integers (as `n` must be one), though a float
+    array of them is taken.  `delta` is always reduced into a new array.
+    The checks run over blocks of `_CHECK_BLOCK` edges, so they make no
+    m-sized temporary unless the edges do not ascend in (i, j) order, when
+    the duplicate check sorts one array of the codes i * n + j in place.
+    Whether they ascend is kept as `_ascending` for the tests of that check;
+    the sync matrix build does not read it.
 
     The sparsity pattern of the symmetric matrix, both directions of every
     edge, is the private `_adjacency`: computed on first use, kept, and
@@ -205,9 +213,10 @@ class OffsetGraph:
     delta: np.ndarray
 
     def __post_init__(self):
+        check_integer("n", self.n)
         n = int(self.n)
-        i = _adopt(self.i, np.int64)
-        j = _adopt(self.j, np.int64)
+        i = _adopt_index("i", self.i)
+        j = _adopt_index("j", self.j)
         raw = np.atleast_1d(np.asarray(self.delta, dtype=np.float64))
         flat = raw.reshape(-1)
         delta = np.empty(flat.size)
@@ -324,18 +333,15 @@ def _dense_fits(n: int, nnz: int) -> bool:
 class SyncMatrix:
     """Hermitian matrix with unit-modulus entries at measured pairs.
 
-    `entries` stores only the 2m off-diagonal nonzeros (CSR); the constant
-    diagonal lives in `diagonal_shift` so shifting never changes the sparsity.
-
-    The product operand is chosen once, at construction, by one rule on n
-    and the nonzero count (`_dense_fits`): a dense array when it takes no
-    more bytes than the CSR arrays, the CSR otherwise.  The constructor
-    copies dense-sized `entries` into that array at once.  A complete
-    graph's matrix (`_of_dense`, which `eig.build_sync_matrix` uses) is held
-    as its dense array alone, 16 n^2 bytes instead of about 36 n^2 for both
-    layouts: its `entries` are laid out from the array on first read, with
-    the bytes the general build gives, and its nonzero count and row counts
-    follow from n.  numpy and scipy each link their own BLAS with its own
+    It holds its `nnz_offdiag` off-diagonal nonzeros in one layout; the
+    constant diagonal lives in `diagonal_shift` so shifting never changes
+    the sparsity.  The layout is chosen by `eig.build_sync_matrix`, by one
+    rule on n and the nonzero count (`_dense_fits`): a dense array when it
+    takes no more bytes than the CSR arrays (`_of_dense`; 16 n^2 bytes
+    instead of about 36 n^2 for both layouts), the CSR `entries` otherwise,
+    which the constructor keeps as given.  A matrix held as a dense array
+    lays its `entries` out from it on first read, with the bytes the CSR
+    build gives.  numpy and scipy each link their own BLAS with its own
     thread pool, and a product from one pool inside a loop driven by the
     other oversubscribes the CPUs (at 2 threads, numpy's product inside
     ARPACK took a top eigenpair at complete n = 400 from 7 ms to 252 ms).
@@ -345,33 +351,34 @@ class SyncMatrix:
     """
 
     n: int
+    nnz_offdiag: int
     diagonal_shift: float = 0.0
+    _dense = None  # the dense operand of a matrix held as one
 
     def __init__(self, n: int, entries: sp.csr_matrix, diagonal_shift: float = 0.0):
         if entries.shape != (n, n):
             raise InvalidInputError("entries shape mismatch")
-        dense = entries.toarray() if _dense_fits(n, entries.nnz) else None
-        self._hold(n, diagonal_shift, entries=entries, _dense=dense)
+        self._hold(diagonal_shift, n=n, nnz_offdiag=entries.nnz, entries=entries)
 
     @classmethod
-    def _of_dense(cls, D: np.ndarray, diagonal_shift: float = 0.0) -> SyncMatrix:
-        """The matrix whose off-diagonal is D's, every entry of it stored,
+    def _of_dense(cls, D: np.ndarray, nnz: int, diagonal_shift: float = 0.0) -> SyncMatrix:
+        """The matrix whose off-diagonal is D's, with its `nnz` nonzeros,
         held as D alone.  D must be what ``entries.toarray()`` would give,
-        byte for byte, and of a dense size (n >= 4)."""
+        byte for byte."""
         H = cls.__new__(cls)
-        H._hold(D.shape[0], diagonal_shift, _dense=D)
+        H._hold(diagonal_shift, n=D.shape[0], nnz_offdiag=nnz, _dense=D)
         return H
 
     def _with_shift(self, diagonal_shift: float) -> SyncMatrix:
         """This matrix with another diagonal shift, holding the same arrays."""
         H = copy.copy(self)
-        H._hold(self.n, diagonal_shift)
+        H._hold(diagonal_shift)
         return H
 
-    def _hold(self, n: int, diagonal_shift: float, **layouts) -> None:
+    def _hold(self, diagonal_shift: float, **held) -> None:
         if not np.isfinite(diagonal_shift):
             raise InvalidInputError("diagonal_shift must be finite")
-        vars(self).update(n=n, diagonal_shift=diagonal_shift, **layouts)
+        vars(self).update(diagonal_shift=diagonal_shift, **held)
 
     @cached_property
     def entries(self) -> sp.csr_matrix:
@@ -390,11 +397,13 @@ class SyncMatrix:
         return a
 
     def _degrees(self) -> np.ndarray:
-        """The row counts of `entries`, as floats: the degrees of H's graph."""
-        a = vars(self).get("entries")
-        if a is None:
+        """The row counts of `entries`, as floats: the degrees of H's graph,
+        read off the layout that H holds, or n - 1 each when H is complete."""
+        if self._dense is None:
+            return np.diff(self.entries.indptr).astype(np.float64)
+        if self.nnz_offdiag == self.n * (self.n - 1):
             return np.full(self.n, self.n - 1, dtype=np.float64)
-        return np.diff(a.indptr).astype(np.float64)
+        return np.count_nonzero(self._dense, axis=1).astype(np.float64)
 
     def _shifted(self, out: np.ndarray, v: np.ndarray) -> np.ndarray:
         if self.diagonal_shift != 0.0:
@@ -422,11 +431,6 @@ class SyncMatrix:
         if self.diagonal_shift != 0.0:
             H[np.diag_indices(self.n)] += self.diagonal_shift
         return H
-
-    @property
-    def nnz_offdiag(self) -> int:
-        a = vars(self).get("entries")
-        return self.n * (self.n - 1) if a is None else a.nnz
 
 
 @dataclass(frozen=True)
@@ -580,8 +584,8 @@ def connected_component_labels(graph: OffsetGraph):
     """(component count, per-vertex labels) of the measurement graph.
 
     `connected_components(directed=False)` searches the graph's cached
-    symmetric pattern (`OffsetGraph._adjacency`), the one the sync matrix
-    and the triangle score read, so no pattern is built for it.  A graph
+    symmetric pattern (`OffsetGraph._adjacency`), the one the sync matrix's
+    CSR build and the triangle score read, so it is built once.  A graph
     with m = n(n - 1)/2 holds every pair (OffsetGraph forbids a repeated
     one), so it is one component and skips the search."""
     n = graph.n

@@ -6,9 +6,9 @@ read the angle estimates off the entrywise phases of the eigenvector.
 ARPACK has no complex Hermitian driver, so its symmetric one (``eigsh``)
 runs on H's real form: a complex n-vector viewed as 2n interleaved reals,
 on which H = A + iB acts as the real symmetric [[A, -B], [B, A]] with its
-rows and columns interleaved.  A complete graph's H is built straight into
-a dense array, and the products with any other H run on a dense copy of
-its CSR when that copy is no larger (see `SyncMatrix`).
+rows and columns interleaved.  An H whose dense array is no larger than its
+CSR is built straight into that array, and its products run there (see
+`SyncMatrix`).
 
 The iteration budget counts applications of H.  Convergence is decided by an
 explicit residual check on the returned pair, not by ARPACK's own flag, and
@@ -32,6 +32,7 @@ from .core import (
     OffsetGraph,
     SyncMatrix,
     ZeroMatrixError,
+    _dense_fits,
     _row_entries,
     check_budget,
     check_integer,
@@ -42,8 +43,8 @@ from .core import (
 ZERO_MAGNITUDE = 1e-14
 
 
-_PHASORS = 4096  # phasors that the complete build computes at a time (64 KiB)
-_TILE = 64  # side of the tiles of the conjugate half that the complete build fills
+_PHASORS = 4096  # phasors that the dense build computes at a time (64 KiB)
+_TILE = 64  # side of the tiles of the conjugate half that the dense build fills
 _LOWER = np.tri(_TILE, k=-1, dtype=bool)  # strictly below the diagonal of a tile
 _GATHER = 1 << 13  # CSR slots whose phasors the general build gathers at a time
 
@@ -52,9 +53,10 @@ def build_sync_matrix(graph: OffsetGraph, diagonal_shift: float = 0.0) -> SyncMa
     """H_ij = exp(i delta_ij) at measured pairs, conjugate at (j, i), zero
     elsewhere; constant diagonal `diagonal_shift`.
 
-    A complete graph (m = n(n - 1)/2) from n = 4 on, its edges in any
-    order, is built straight into the dense array that ``entries.toarray()``
-    would give, and the matrix holds that array alone (16 n^2 bytes; see
+    The layout is picked here alone: a graph whose 2m nonzeros pass
+    `_dense_fits` (complete graphs from n = 4 on, and nearly complete ones),
+    its edges in any order, is built straight into the dense array that
+    ``entries.toarray()`` would give, which the matrix holds alone (see
     `SyncMatrix`).  The phasors go above the diagonal `_PHASORS` edges at a
     time, through one buffer that every block reuses, and the half below is
     filled tile by tile from the conjugated transpose, with 0.0 added as
@@ -66,7 +68,7 @@ def build_sync_matrix(graph: OffsetGraph, diagonal_shift: float = 0.0) -> SyncMa
     i), so no 2m-phasor buffer is made; the matrix gets its own writable
     copies of the index arrays, each row's columns ascending."""
     n, m = graph.n, graph.m
-    if 2 * m == n * (n - 1) and n >= 4:
+    if _dense_fits(n, 2 * m):
         D = np.zeros((n, n), dtype=np.complex128)
         flat = D.reshape(-1)
         buf = np.empty(min(m, _PHASORS), dtype=np.complex128)
@@ -82,7 +84,7 @@ def build_sync_matrix(graph: OffsetGraph, diagonal_shift: float = 0.0) -> SyncMa
                 below = _LOWER[:t.shape[0], :t.shape[0]] if c == a else True
                 np.conjugate(D[c:c + _TILE, a:a + _TILE].T, out=t, where=below)
                 np.add(t, 0.0, out=t, where=below)
-        return SyncMatrix._of_dense(D, float(diagonal_shift))
+        return SyncMatrix._of_dense(D, 2 * m, float(diagonal_shift))
     indptr, indices, slots = graph._adjacency
     w = np.multiply(1j, graph.delta)
     np.exp(w, out=w)
@@ -262,7 +264,7 @@ def estimate_eig(graph: OffsetGraph, opts: EigOptions | None = None, *,
     `opts.diagonal_shift` is applied to its entries without a rebuild.  The
     products run on `H`'s dense operand, when it has one, with or without a
     shift, so it is shared with the caller's other uses of `H` and never
-    copied again, and a complete graph's CSR is never laid out.
+    copied, and a dense-held graph's CSR is never laid out.
     `diagnostics["wall_ms"]` then leaves out the build.
     """
     opts = opts or EigOptions()

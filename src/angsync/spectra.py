@@ -4,8 +4,8 @@ relative-gap clustering for multiplicity checks.
 `full_spectrum` takes every eigenvalue by dense eigendecomposition, for the
 histograms, and refuses sizes above `DENSE_LIMIT`.  `top_k_spectrum` takes
 only the k largest by implicitly restarted Arnoldi (ARPACK's complex driver
-through ``scipy.sparse.linalg.eigs``) on `H.matvec`, which runs on a dense
-copy of H on dense graphs (see `SyncMatrix`).  It stops at a relative
+through ``scipy.sparse.linalg.eigs``) on `H.matvec`, which runs on H's dense
+array on dense graphs (see `SyncMatrix`).  It stops at a relative
 residual of `ARPACK_TOL`, not at machine precision: the values it returns
 are then within about 1e-14 * |lambda_1| of the dense ones.  Its start vector
 and restart draws are seeded, so the same H gives the same values bit for
@@ -48,13 +48,17 @@ def top_k_spectrum(H: SyncMatrix, k: int) -> np.ndarray:
     start vector and ARPACK's restart draws come from a fixed private
     substream, so the same H gives the same values bit for bit.  ARPACK's
     complex driver needs k < n - 1; for k >= n - 1 the values come from
-    `full_spectrum`.  When ARPACK does not converge, its
+    `full_spectrum`.  An H without off-diagonal nonzeros is its shift times
+    the identity, whose values are returned as they are (ARPACK's start
+    vector would vanish there).  When ARPACK does not converge, its
     `ArpackNoConvergence` propagates.
     """
     n = H.n
     check_integer("k", k)
     if not 1 <= k <= n:
         raise InvalidInputError(f"k must lie in [1, {n}], got {k}")
+    if H.nnz_offdiag == 0:
+        return np.full(k, H.diagonal_shift)
     if k >= n - 1:
         return full_spectrum(H)[:k]
     rng = np.random.default_rng(np.random.SeedSequence(0, spawn_key=(19,)))

@@ -177,7 +177,15 @@ def test_record_counts_pairs_with_same_digests(monkeypatch, tmp_path, capsys,
     monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
     monkeypatch.setattr(bench_pairs, "workloads", lambda: ("generate-solve",))
     monkeypatch.setattr(bench_pairs, "git", lambda *args: "")
-    monkeypatch.setattr(bench_pairs, "export_revision", lambda rev, dest: None)
+    (tmp_path / "src" / "angsync").mkdir(parents=True)
+    (tmp_path / "src" / "angsync" / "core.py").write_text("a\nb\nc\n")
+    (tmp_path / "src" / "angsync" / "eig.py").write_text("d\n")
+
+    def export(rev, dest):  # the base tree: one line fewer
+        (dest / "src" / "angsync").mkdir(parents=True)
+        (dest / "src" / "angsync" / "core.py").write_text("a\nb\nc\n")
+
+    monkeypatch.setattr(bench_pairs, "export_revision", export)
 
     def fake_run(tree, workload, seed, seconds, trace):
         digests = dict(DIGESTS)
@@ -191,6 +199,7 @@ def test_record_counts_pairs_with_same_digests(monkeypatch, tmp_path, capsys,
                              "--label", "x", "--tmpdir", str(tmp_path)]) == 0
     record = json.loads((tmp_path / "BENCH_x.json").read_text())
     assert record["same_digests_pairs"] == expected
+    assert record["env"]["src_lines"] == {"base": 3, "change": 4}
     assert [p["same_digests"] for p in record["pairs"]] == [
         p["seed"] != differ_at for p in record["pairs"]]
     assert [p["differing_digests"] for p in record["pairs"]] == [[], [], []]

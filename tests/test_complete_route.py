@@ -90,7 +90,7 @@ def test_entries_and_operand_bytes(name):
     H = build_sync_matrix(graph)
     assert "_dense" in vars(H)  # carried from construction, not copied later
     assert "entries" not in vars(H)  # laid out on first read
-    # answered from n while the CSR is not laid out
+    # answered while the CSR is not laid out
     nnz, degrees = H.nnz_offdiag, H._degrees()
     ref = _coo_entries(graph)
     assert _csr_bytes(H.entries) == _csr_bytes(ref)
@@ -215,7 +215,7 @@ def test_shuffled_edges_take_coo_route():
     shuffled = _shuffled(graph)
     assert not shuffled._ascending
     H = build_sync_matrix(shuffled)
-    assert "entries" in vars(H)  # the general build's CSR, copied at construction
+    assert "entries" not in vars(H)  # held as its dense array, the CSR laid out on read
     assert _csr_bytes(H.entries) == _csr_bytes(build_sync_matrix(graph).entries)
     assert H._dense.tobytes() == build_sync_matrix(graph)._dense.tobytes()
 
@@ -223,7 +223,7 @@ def test_shuffled_edges_take_coo_route():
 def test_missing_edge_takes_coo_route():
     graph = _missing_edge()
     H = build_sync_matrix(graph)
-    assert "entries" in vars(H) and "_dense" in vars(H)
+    assert "entries" not in vars(H) and "_dense" in vars(H)
     assert _csr_bytes(H.entries) == _csr_bytes(_coo_entries(graph))
     assert H._dense.tobytes() == _coo_entries(graph).toarray().tobytes()
 

@@ -202,6 +202,25 @@ class TestOffsetGraph:
         with pytest.raises(InvalidInputError, match="finite"):
             OffsetGraph(n=3, i=[0, 0], j=[1, 2], delta=[0.5, bad])
 
+    @pytest.mark.parametrize("n, i, j, message", [
+        (3, [0.5], [1.7], "i must hold integers"),  # once stored as the edge (0, 1)
+        (3, [0], [np.nan], "j must hold integers"),
+        (3, [0], [np.inf], "j must hold integers"),
+        (2.7, [0], [1], "n must be an integer"),  # once truncated to 2
+        (3.0, [0], [1], "n must be an integer"),
+    ])
+    def test_rejects_non_integers(self, n, i, j, message):
+        with pytest.raises(InvalidInputError, match=message):
+            OffsetGraph(n=n, i=i, j=j, delta=[0.1])
+
+    def test_integral_floats_and_integer_dtypes_taken(self):
+        for i, j in ((np.array([0.0, 1.0]), np.array([1.0, 2.0])),
+                     (np.array([0, 1], dtype=np.int32), np.array([1, 2], dtype=np.uint8))):
+            g = OffsetGraph(n=np.int64(3), i=i, j=j, delta=[0.1, 0.2])
+            assert g.n == 3 and type(g.n) is int
+            assert g.i.dtype == g.j.dtype == np.int64
+            assert g.i.tolist() == [0, 1] and g.j.tolist() == [1, 2]
+
 
 def _locked(values, dtype=np.int64):
     a = np.array(values, dtype=dtype)

@@ -147,6 +147,12 @@ class TestTopK:
         with pytest.raises(InvalidInputError, match="k must be an integer, got"):
             top_k_spectrum(build_sync_matrix(graph), k)
 
+    @pytest.mark.parametrize("shift", [0.0, 0.5])
+    def test_edgeless_matrix(self, shift):
+        # H = shift * I: at shift 0 ARPACK's start vector vanished (ArpackError)
+        H = build_sync_matrix(OffsetGraph(n=10, i=[], j=[], delta=[]), diagonal_shift=shift)
+        assert top_k_spectrum(H, 3).tolist() == [shift] * 3
+
     def test_numpy_integer_k_accepted(self):
         graph, _ = gen_complete(CompleteModelParams(n=30, p=0.5, seed=0))
         H = build_sync_matrix(graph)
