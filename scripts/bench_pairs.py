@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Paired benchmark runs of a base revision against the working tree.
 
-    python scripts/bench_pairs.py --workload small-world-dense-spectrum \\
-        --seeds 701-710 --label small_world_rewire
+    python scripts/bench_pairs.py --workload complete-sweep,generate-solve \\
+        --seeds 701-710 --label deferred_scores
 
 Exports the base revision (default HEAD) with `git archive` into a temporary
 directory, then runs `perfbench/run.py --trace 0` for the `run_seconds` of
@@ -12,20 +12,25 @@ no code is shared between the two sides.
 `--traced-seed N` adds one traced run per side and keeps its printed report,
 per-layer self-time table included.
 
-Writes `BENCH_<label>.json`: for each pair the gated end-to-end metrics of
-BENCHMARK.json, each run's correctness and the digests it printed (its first
-round's instances and outputs, so a record shows whether both sides computed
-the same thing), whether the two sides printed the same digests and, if not,
-which of the first round's digests differ; the number of pairs with the
-same digests; per metric the median and quartiles of each side,
-the number of pairs the working tree won and its `verdict` (see `verdict`,
-which also prints); and the environment (CPU count,
-Python, numpy and scipy versions, both revisions, the paths where the
+`--workload` takes one workload or a comma-separated list; the base is
+exported once and each workload's pairs run in turn.  Writes, as each
+workload finishes, `BENCH_<label>_<workload>.json` with the workload's
+dashes as underscores (`BENCH_deferred_scores_complete_sweep.json` above):
+for each pair the gated end-to-end metrics of BENCHMARK.json, each run's
+correctness and the digests it printed (its first round's instances and
+outputs, so a record shows whether both sides computed the same thing),
+whether the two sides printed the same digests and, if not, which of the
+first round's digests differ; the number of pairs with the same digests;
+per metric the median and quartiles of each side, the number of pairs the
+working tree won and its `verdict` (see `verdict`, which also prints); and
+the environment, taken once before the runs (CPU count, Python, numpy and
+scipy versions, both revisions, the paths where the
 working tree differs from its HEAD, and each tree's line count of
 src/angsync/*.py as `src_lines`).
 After the change is committed, pass `--base HEAD~1`.  Exits 1 when any run
 reported a failed check, and 2, with one line on stderr and nothing run,
-when `--seeds`, `--tmpdir` or `--base` is bad.
+when `--seeds`, `--tmpdir` or `--base` is bad; an unknown or empty
+`--workload` is a usage error (exit 2) before anything runs.
 """
 
 from __future__ import annotations
@@ -69,6 +74,20 @@ def src_lines(tree: Path) -> int:
     """The total line count of `tree`'s src/angsync/*.py, as ``wc -l`` gives it."""
     return sum(path.read_bytes().count(b"\n")
                for path in (tree / "src" / "angsync").glob("*.py"))
+
+
+def parse_workloads(text: str) -> list[str]:
+    """The workloads of a comma-separated list, each one perfbench/run.py
+    accepts; argparse.ArgumentTypeError naming the first unknown one."""
+    names = [name.strip() for name in text.split(",") if name.strip()]
+    known = workloads()
+    for name in names:
+        if name not in known:
+            raise argparse.ArgumentTypeError(
+                f"invalid choice: {name!r} (choose from {', '.join(known)})")
+    if not names:
+        raise argparse.ArgumentTypeError("no workload given")
+    return names
 
 
 def run_bench(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -170,12 +189,51 @@ def parse_seeds(text: str) -> list[int]:
     return seeds
 
 
+def bench_workload(workload: str, seeds, trees: dict, bench: dict, traced_seed) -> dict:
+    """The record of one workload's pairs, and its traced runs when
+    `traced_seed` is not None, on the trees {"base": ..., "change": ...};
+    `bench` is BENCHMARK.json.  `main` adds "env" and writes it."""
+    gated = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]}
+    seconds = bench["run_seconds"]
+    pairs = []
+    for k, seed in enumerate(seeds):
+        order = ("base", "change") if k % 2 == 0 else ("change", "base")
+        pair = {"seed": seed, "first": order[0]}
+        for side in order:
+            pair[side] = run_bench(trees[side], workload, seed, seconds, 0)
+        pair["same_digests"] = same_digests(pair["base"], pair["change"])
+        pair["differing_digests"] = differing_digests(pair["base"], pair["change"])
+        pairs.append(pair)
+        print(f"{workload} seed {seed}: " + "  ".join(
+            f"{side} {pair[side]['metrics']}" for side in ("base", "change")), flush=True)
+    traced = None
+    if traced_seed is not None:
+        traced = {side: run_bench(tree, workload, traced_seed, seconds, 1)
+                  for side, tree in trees.items()}
+    summary = summarize(pairs, gated)
+    for name, s in summary.items():
+        s["verdict"] = verdict(s, bounds[name])
+    return {
+        "workload": workload,
+        "seconds": seconds,
+        "summary": summary,
+        "all_correct": all(p[s]["correct"] and not p[s]["failed"]
+                           for p in pairs for s in ("base", "change")),
+        "same_digests_pairs": sum(p["same_digests"] for p in pairs),
+        "pairs": pairs,
+        "traced": traced,
+    }
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("--workload", required=True, choices=workloads())
+    ap.add_argument("--workload", required=True, type=parse_workloads,
+                    help="a workload of perfbench/run.py, or a comma-separated list")
     ap.add_argument("--seeds", required=True, help="inclusive range, e.g. 701-710")
-    ap.add_argument("--label", required=True, help="output is BENCH_<label>.json")
+    ap.add_argument("--label", required=True,
+                    help="output is BENCH_<label>_<workload>.json per workload")
     ap.add_argument("--base", default="HEAD", help="base revision (default HEAD)")
     ap.add_argument("--traced-seed", type=int, default=None,
                     help="also run one traced run per side at this seed")
@@ -198,47 +256,12 @@ def main(argv=None) -> int:
         return 2
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
-    gated = {m["name"]: m["better"] for m in bench["end_to_end"]}
-    bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]}
-    seconds = bench["run_seconds"]
     tmp = Path(tempfile.mkdtemp(prefix="bench_pairs_", dir=args.tmpdir))
+    correct = True
     try:
         export_revision(base_rev, tmp)
         trees = {"base": tmp, "change": ROOT}
-        lines = {side: src_lines(tree) for side, tree in trees.items()}
-        pairs = []
-        for k, seed in enumerate(seeds):
-            order = ("base", "change") if k % 2 == 0 else ("change", "base")
-            pair = {"seed": seed, "first": order[0]}
-            for side in order:
-                pair[side] = run_bench(trees[side], args.workload, seed, seconds, 0)
-            pair["same_digests"] = same_digests(pair["base"], pair["change"])
-            pair["differing_digests"] = differing_digests(pair["base"], pair["change"])
-            pairs.append(pair)
-            print(f"seed {seed}: " + "  ".join(
-                f"{side} {pair[side]['metrics']}" for side in ("base", "change")),
-                flush=True)
-        traced = None
-        if args.traced_seed is not None:
-            traced = {side: run_bench(tree, args.workload, args.traced_seed,
-                                      seconds, 1)
-                      for side, tree in trees.items()}
-    finally:
-        shutil.rmtree(tmp, ignore_errors=True)
-
-    summary = summarize(pairs, gated)
-    for name, s in summary.items():
-        s["verdict"] = verdict(s, bounds[name])
-    record = {
-        "workload": args.workload,
-        "seconds": seconds,
-        "summary": summary,
-        "all_correct": all(p[s]["correct"] and not p[s]["failed"]
-                           for p in pairs for s in ("base", "change")),
-        "same_digests_pairs": sum(p["same_digests"] for p in pairs),
-        "pairs": pairs,
-        "traced": traced,
-        "env": {
+        env = {
             "cpu_count": os.cpu_count(),
             "machine": platform.machine(),
             "python": platform.python_version(),
@@ -248,20 +271,26 @@ def main(argv=None) -> int:
             "change_revision": git("rev-parse", "HEAD"),
             # paths where the working tree differs from change_revision
             "change_uncommitted": git("status", "--porcelain").splitlines(),
-            "src_lines": lines,
-        },
-    }
-    out = ROOT / f"BENCH_{args.label}.json"
-    out.write_text(json.dumps(record, indent=1) + "\n")
-    for name, s in record["summary"].items():
-        print(f"{name}: base {s['base']['median']:.4g} "
-              f"({s['base']['q1']:.4g}-{s['base']['q3']:.4g}) -> change "
-              f"{s['change']['median']:.4g} ({s['change']['q1']:.4g}-"
-              f"{s['change']['q3']:.4g}), {s['pairs_won']}/{s['pairs']} pairs won, "
-              f"{s['verdict']}")
-    print(f"same digests on {record['same_digests_pairs']}/{len(pairs)} pairs")
-    print(f"wrote {out}")
-    return 0 if record["all_correct"] else 1
+            "src_lines": {side: src_lines(tree) for side, tree in trees.items()},
+        }
+        for workload in args.workload:
+            record = {**bench_workload(workload, seeds, trees, bench, args.traced_seed),
+                      "env": env}
+            out = ROOT / f"BENCH_{args.label}_{workload.replace('-', '_')}.json"
+            out.write_text(json.dumps(record, indent=1) + "\n")
+            for name, s in record["summary"].items():
+                print(f"{workload} {name}: base {s['base']['median']:.4g} "
+                      f"({s['base']['q1']:.4g}-{s['base']['q3']:.4g}) -> change "
+                      f"{s['change']['median']:.4g} ({s['change']['q1']:.4g}-"
+                      f"{s['change']['q3']:.4g}), {s['pairs_won']}/{s['pairs']} pairs won, "
+                      f"{s['verdict']}")
+            print(f"{workload}: same digests on {record['same_digests_pairs']}/"
+                  f"{len(record['pairs'])} pairs")
+            print(f"wrote {out}", flush=True)
+            correct = correct and record["all_correct"]
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
+    return 0 if correct else 1
 
 
 if __name__ == "__main__":

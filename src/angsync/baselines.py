@@ -67,8 +67,12 @@ def estimate_lsqr(graph: OffsetGraph, opts: LsqrOptions | None = None, *,
     n = graph.n
     H = eig.sync_matrix_of(graph, H)
     deg = H._degrees()
-
-    ncomp, labels = connected_component_labels(graph)
+    # every degree at least (n - 1)/2: two vertices that are not adjacent
+    # share a neighbour, so the graph is one component and skips the search
+    if 2 * deg.min() >= n - 1:
+        ncomp, labels = 1, np.zeros(n, dtype=np.int32)
+    else:
+        ncomp, labels = connected_component_labels(graph)
     anchors = np.unique(labels, return_index=True)[1]
     free = np.ones(n, dtype=bool)
     free[anchors] = False

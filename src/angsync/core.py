@@ -3,7 +3,10 @@
 Angles are stored in radians on [0, 2*pi), double precision.  All reductions
 mod 2*pi happen at type boundaries so the stored invariants are checkable.
 Every type here is immutable after construction and safe to share across
-threads; the metric functions are pure.
+threads, and the metric functions are pure.  A CorrelationReport from
+`evaluate` computes its sce and sce_f on their first read, from a graph
+that it holds until then and its own copy of the angles, and always reads
+the same values.
 
 The per-edge passes (scoring, angle reduction, the codes of OffsetGraph)
 write into a few arrays that they reuse, through ``out=`` and in-place
@@ -61,8 +64,10 @@ def check_prob(name: str, value) -> None:
 
 
 def check_seed(seed) -> None:
-    """Raise InvalidInputError unless `seed` is in [0, 2^64), as every seed must be."""
-    if not 0 <= int(seed) < 2 ** 64:
+    """Raise InvalidInputError unless `seed` is an integer (see check_integer)
+    in [0, 2^64), as every seed must be."""
+    check_integer("seed", seed)
+    if not 0 <= seed < 2 ** 64:
         raise InvalidInputError("seed must be a nonnegative 64-bit integer")
 
 
@@ -456,10 +461,36 @@ class AngleEstimate:
 
 @dataclass(frozen=True)
 class CorrelationReport:
+    """An estimate's scores: rho1 and rho2 against the planted angles, sce
+    and sce_f against the measurements.
+
+    A report made by `evaluate` holds rho1 and rho2, and computes sce and
+    sce_f together on the first read of either, from the graph and its own
+    copy of the estimate's angles; it then keeps the two values and drops
+    the graph.  So an unread report keeps its graph alive.  Two threads that
+    read it first at once both compute the same values.  `repr` and `==`
+    read all four fields."""
+
     rho1: float
     rho2: float
     sce: int
     sce_f: float
+
+    @classmethod
+    def _deferred(cls, rho1: float, rho2: float, *edges) -> CorrelationReport:
+        """The report whose sce and sce_f `_score_edges(*edges)` gives."""
+        report = cls.__new__(cls)
+        vars(report).update(rho1=rho1, rho2=rho2, _edges=edges)
+        return report
+
+    def __getattr__(self, name):
+        # reached only when normal lookup fails: sce or sce_f before the first read
+        edges = vars(self).get("_edges")
+        if name not in ("sce", "sce_f") or edges is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        vars(self).update(zip(("sce", "sce_f"), _score_edges(*edges)))
+        vars(self).pop("_edges", None)
+        return vars(self)[name]
 
 
 def rho1(theta_hat, theta_true) -> float:
@@ -551,24 +582,32 @@ def sce_f(theta, graph: OffsetGraph, theta0: float = DEFAULT_THETA0) -> float:
     return _soft_penalty(diffs, graph.delta, theta0, work)
 
 
+def _score_edges(theta, graph: OffsetGraph, sce_tol, theta0):
+    """(sce, sce_f) from one gather of theta[i] - theta[j] and one work array."""
+    diffs, a = _edge_diffs(theta, graph)
+    return (_violations(diffs, graph.delta, sce_tol, a),
+            _soft_penalty(diffs, graph.delta, theta0, a))
+
+
 def evaluate(graph: OffsetGraph, truth: GroundTruth, estimate: AngleEstimate,
              sce_tol: float = 1e-6, theta0: float = DEFAULT_THETA0) -> CorrelationReport:
     """Score an estimate against ground truth and against the measurements.
 
-    sce and sce_f share one gather of theta_hat[i] - theta_hat[j] and one
-    work array.  The checks run in the order that calling rho1, rho2, sce
+    rho1 and rho2 are computed here; sce and sce_f on the first read of
+    either (see CorrelationReport), from a copy of theta_hat taken here, so
+    a caller that reads neither, as the sweep does, skips the per-edge
+    passes.  The checks run here, in the order that calling rho1, rho2, sce
     and sce_f one after the other would run them, so a bad input raises the
-    same error."""
+    same error; an estimate whose shape is not (n,) takes the gather here
+    too, so one that does not fit the graph fails as it always has."""
     r1 = rho1(estimate.theta_hat, truth.theta)
     r2 = rho2(estimate.eigvec, truth.theta)
     _check_sce_tol(sce_tol)
-    diffs, a = _edge_diffs(estimate.theta_hat, graph)
+    theta = np.array(estimate.theta_hat, dtype=np.float64)
+    if theta.shape != (graph.n,):
+        _edge_diffs(theta, graph)
     _check_theta0(theta0)
-    return CorrelationReport(
-        rho1=r1, rho2=r2,
-        sce=_violations(diffs, graph.delta, sce_tol, a),
-        sce_f=_soft_penalty(diffs, graph.delta, theta0, a),
-    )
+    return CorrelationReport._deferred(r1, r2, theta, graph, sce_tol, theta0)
 
 
 def _cc(csgraph, directed):

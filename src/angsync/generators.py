@@ -22,6 +22,7 @@ from .core import (
     OffsetGraph,
     _lock,
     _row_entries,
+    check_integer,
     check_prob,
     check_seed,
     is_connected,
@@ -52,6 +53,7 @@ class CompleteModelParams:
     seed: int
 
     def __post_init__(self):
+        check_integer("n", self.n)
         if self.n < 2:
             raise InvalidInputError(f"need n >= 2, got {self.n}")
         check_prob("p", self.p)
@@ -68,6 +70,7 @@ class SmallWorldParams:
     seed: int
 
     def __post_init__(self):
+        check_integer("n", self.n)
         if self.n < 2:
             raise InvalidInputError(f"need n >= 2, got {self.n}")
         if not 0.0 < self.epsilon < 2.0:
@@ -94,6 +97,7 @@ class ClockModelParams:
     seed: int
 
     def __post_init__(self):
+        check_integer("n", self.n)
         if self.n < 2:
             raise InvalidInputError(f"need n >= 2, got {self.n}")
         check_prob("edge_probability", self.edge_probability)

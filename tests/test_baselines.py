@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.sparse.linalg import LinearOperator, cg
 
+from angsync import core
 from angsync.baselines import (
     METHODS,
     LsqrOptions,
@@ -24,7 +25,14 @@ from angsync.core import (
     rho1,
 )
 from angsync.eig import EigOptions, build_sync_matrix, estimate_eig, round_to_angles
-from angsync.generators import CompleteModelParams, SmallWorldParams, gen_complete, gen_small_world
+from angsync.generators import (
+    ClockModelParams,
+    CompleteModelParams,
+    SmallWorldParams,
+    gen_clock,
+    gen_complete,
+    gen_small_world,
+)
 
 
 class TestLsqr:
@@ -290,6 +298,85 @@ class TestGroundedSolve:
         assert est.residual == 0.0
         assert est.diagnostics["converged"]
         assert est.diagnostics["components"] == 4
+
+
+def _clock(n, seed=4):
+    """A noisy clock graph at edge probability 0.9: dense, not complete."""
+    return gen_clock(ClockModelParams(n=n, edge_probability=0.9, sigma_good=0.05,
+                                      outlier_fraction=0.4, outlier_scale=20.0, omega=1.0,
+                                      seed=seed))[0]
+
+
+def _offset_graph(n, pairs, seed=0):
+    """The graph on the edges `pairs` (i < j), with uniform random offsets."""
+    i, j = np.array(sorted(pairs)).T
+    delta = np.random.default_rng(seed).uniform(0.0, TWO_PI, i.size)
+    return OffsetGraph(n=n, i=i, j=j, delta=delta)
+
+
+def _circulant(n, reach):
+    """Each vertex joined to the `reach` nearest on either side: degree 2 reach."""
+    return _offset_graph(n, {tuple(sorted((v, (v + d) % n)))
+                             for v in range(n) for d in range(1, reach + 1)})
+
+
+def _cliques(size, count):
+    return _offset_graph(size * count, {(c * size + a, c * size + b) for c in range(count)
+                                        for a in range(size) for b in range(a + 1, size)})
+
+
+class TestDegreeRule:
+    """A graph whose every degree is at least (n - 1)/2 is connected (two
+    vertices that are not adjacent share a neighbour), so lsqr takes it as
+    one component without a search.  Below that it searches."""
+
+    @pytest.fixture
+    def searches(self, monkeypatch):
+        calls = []
+        cc = core._cc
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return cc(*args, **kwargs)
+
+        monkeypatch.setattr(core, "_cc", spy)
+        return calls
+
+    @pytest.mark.parametrize("make", [
+        pytest.param(lambda: _clock(60), id="clock-60-0.9"),
+        pytest.param(lambda: _clock(200), id="clock-200-0.9"),
+        pytest.param(lambda: _circulant(9, 2), id="circulant-9-at-threshold"),
+        pytest.param(lambda: _offset_graph(2, {(0, 1)}), id="one-edge"),
+        pytest.param(lambda: OffsetGraph(n=1, i=[], j=[], delta=[]), id="one-vertex"),
+        pytest.param(lambda: _offset_graph(30, {(a, b) for a in range(30)
+                                                for b in range(a + 1, 30)} - {(3, 7)}),
+                     id="complete-30-less-one-edge"),
+    ])
+    def test_same_labels_and_bits_as_the_search(self, make, searches):
+        graph = make()
+        got = estimate_lsqr(graph)
+        assert searches == []
+        want = _per_component_lsqr(graph)  # searches, unless the graph is complete
+        ncomp, labels = connected_component_labels(graph)
+        assert ncomp == 1
+        assert labels.dtype == np.int32 and np.array_equal(labels, np.zeros(graph.n))
+        assert got.diagnostics["components"] == 1
+        assert got.theta_hat.tobytes() == want.theta_hat.tobytes()
+        assert got.eigvec.tobytes() == want.eigvec.tobytes()
+        assert (got.top_eigval, got.iterations, got.residual) == (
+            want.top_eigval, want.iterations, want.residual)
+
+    @pytest.mark.parametrize("make, components", [
+        pytest.param(lambda: _cliques(5, 2), 2, id="two-cliques-of-5"),
+        pytest.param(lambda: _cliques(40, 2), 2, id="two-cliques-of-40"),
+        pytest.param(lambda: _circulant(10, 2), 1, id="circulant-10"),
+        pytest.param(lambda: OffsetGraph(n=2, i=[], j=[], delta=[]), 2, id="two-vertices"),
+    ])
+    def test_below_the_threshold_searches(self, make, components, searches):
+        graph = make()
+        est = estimate_lsqr(graph)
+        assert len(searches) == 1
+        assert est.diagnostics["components"] == components
 
 
 class TestSdp:

@@ -197,7 +197,7 @@ def test_record_counts_pairs_with_same_digests(monkeypatch, tmp_path, capsys,
     monkeypatch.setattr(bench_pairs, "run_bench", fake_run)
     assert bench_pairs.main(["--workload", "generate-solve", "--seeds", "1001-1003",
                              "--label", "x", "--tmpdir", str(tmp_path)]) == 0
-    record = json.loads((tmp_path / "BENCH_x.json").read_text())
+    record = json.loads((tmp_path / "BENCH_x_generate_solve.json").read_text())
     assert record["same_digests_pairs"] == expected
     assert record["env"]["src_lines"] == {"base": 3, "change": 4}
     assert [p["same_digests"] for p in record["pairs"]] == [
@@ -207,6 +207,65 @@ def test_record_counts_pairs_with_same_digests(monkeypatch, tmp_path, capsys,
     assert f"same digests on {expected}/3 pairs" in out
     assert record["summary"]["setup_s"]["verdict"] == "held"  # equal runs on both sides
     assert "0/3 pairs won, held\n" in out
+
+
+def test_workload_list_writes_one_record_each(monkeypatch, tmp_path, capsys):
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(
+        {"run_seconds": 1,
+         "end_to_end": [{"name": "setup_s", "better": "lower", "bound": 0.25}]}))
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    monkeypatch.setattr(bench_pairs, "workloads",
+                        lambda: ("complete-sweep", "generate-solve", "other"))
+    monkeypatch.setattr(bench_pairs, "git", lambda *args: "")
+    exports = []
+    monkeypatch.setattr(bench_pairs, "export_revision", lambda rev, dest: exports.append(dest))
+    runs = []
+
+    def fake_run(tree, workload, seed, seconds, trace):
+        runs.append((workload, seed, "base" if tree != tmp_path else "change"))
+        return {"correct": workload != "generate-solve" or seed != 2, "failed": 0,
+                "metrics": {"setup_s": 0.4 if workload == "complete-sweep" else 0.6},
+                "digests": DIGESTS}
+
+    monkeypatch.setattr(bench_pairs, "run_bench", fake_run)
+    # a failed check on one workload's run gives exit 1; both records are written
+    assert bench_pairs.main(["--workload", "complete-sweep, generate-solve", "--seeds", "1-2",
+                             "--label", "x", "--tmpdir", str(tmp_path)]) == 1
+    assert len(exports) == 1
+    assert runs == [("complete-sweep", 1, "base"), ("complete-sweep", 1, "change"),
+                    ("complete-sweep", 2, "change"), ("complete-sweep", 2, "base"),
+                    ("generate-solve", 1, "base"), ("generate-solve", 1, "change"),
+                    ("generate-solve", 2, "change"), ("generate-solve", 2, "base")]
+    written = sorted(path.name for path in tmp_path.glob("BENCH_*.json"))
+    assert written == ["BENCH_x_complete_sweep.json", "BENCH_x_generate_solve.json"]
+    for name, workload, setup, correct in [("complete_sweep", "complete-sweep", 0.4, True),
+                                           ("generate_solve", "generate-solve", 0.6, False)]:
+        record = json.loads((tmp_path / f"BENCH_x_{name}.json").read_text())
+        assert record["workload"] == workload and record["all_correct"] is correct
+        assert record["summary"]["setup_s"]["base"]["median"] == setup
+        assert list(record)[-1] == "env"
+    out = capsys.readouterr().out
+    assert "complete-sweep: same digests on 2/2 pairs" in out
+    assert "generate-solve: same digests on 2/2 pairs" in out
+
+
+@pytest.mark.parametrize("text", ["complete-sweep,no-such-workload", ",", ""])
+def test_bad_workload_list_rejected_before_export(monkeypatch, capsys, text):
+    def fail(*args, **kwargs):
+        raise AssertionError("exported the base tree for a bad --workload")
+
+    monkeypatch.setattr(bench_pairs, "export_revision", fail)
+    with pytest.raises(SystemExit) as info:
+        bench_pairs.main(["--workload", text, "--seeds", "1-2", "--label", "x"])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert ("invalid choice: 'no-such-workload'" in err if text.startswith("complete")
+            else "no workload given" in err)
+
+
+def test_parse_workloads_strips_and_keeps_order():
+    assert bench_pairs.parse_workloads(" generate-solve ,complete-sweep") == [
+        "generate-solve", "complete-sweep"]
 
 
 def _summary(base, change, better="lower"):

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from angsync import baselines, cli, eig, generators
+from angsync import baselines, cli, core, eig, generators
 from angsync.cli import derive_seed, main
 from angsync.core import (
     InvalidInputError,
@@ -308,6 +308,21 @@ class TestSeedRule:
         ]
         for call in calls:
             with pytest.raises(InvalidInputError, match="seed must be a nonnegative"):
+                call()
+
+
+    @pytest.mark.parametrize("seed", [2.0, 1.5, np.nan])
+    def test_library_seeds_must_be_integers(self, seed):
+        # a float seed used to pass the range check and fail in SeedSequence
+        graph, _ = generators.gen_complete(generators.CompleteModelParams(n=8, p=1.0, seed=2))
+        calls = [
+            lambda: eig.estimate_eig(graph, eig.EigOptions(seed=seed)),
+            lambda: baselines.estimate_sdp(graph, baselines.SdpOptions(seed=seed)),
+            lambda: eig.triangle_consistency_score(graph, 10, seed=seed),
+            lambda: derive_seed(seed, 0, 0),
+        ]
+        for call in calls:
+            with pytest.raises(InvalidInputError, match="seed must be an integer"):
                 call()
 
 
@@ -684,6 +699,37 @@ class TestSweep:
                     "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
             "5cda114d0bac82394ba1d3b217dd4fe62f14ef114d6542193dd310e50d857867")
+
+    def test_sweep_scores_no_edges_and_keeps_no_report(self, tmp_path, monkeypatch):
+        # the sweep prints rho1 and rho2 only, so the per-edge scores (sce
+        # and sce_f) are never computed, and no report, which holds its
+        # graph until read, outlives the instance's task
+        gathers, refs, alive = [], [], []
+        edge_diffs, evaluate, task = core._edge_diffs, cli.evaluate, cli._sweep_task
+
+        def spy(*args):
+            gathers.append(args)
+            return edge_diffs(*args)
+
+        def tracked(*args, **kwargs):
+            report = evaluate(*args, **kwargs)
+            refs.append(weakref.ref(report))
+            return report
+
+        def checked(*args):
+            rows = task(*args)
+            alive.append(sum(ref() is not None for ref in refs))
+            return rows
+
+        monkeypatch.setattr(core, "_edge_diffs", spy)
+        monkeypatch.setattr(cli, "evaluate", tracked)
+        monkeypatch.setattr(cli, "_sweep_task", checked)
+        out = tmp_path / "sw.csv"
+        assert run(["sweep", "--model", "complete", "--n", "60", "--p", "0.4,0.2",
+                    "--method", "eig,lsqr", "--trials", "2", "--deterministic",
+                    "--out", str(out)]) == 0
+        assert gathers == []
+        assert len(refs) == 8 and alive == [0, 0, 0, 0]  # reports alive after each task
 
     def test_default_tol_and_budget_resolve_as_before(self, tmp_path):
         a = tmp_path / "a.csv"

@@ -3,6 +3,7 @@ import hashlib
 import os
 import re
 import tracemalloc
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -721,6 +722,88 @@ class TestScoringErrors:
         assert _raised(sce_f, theta, g, 0.3) == _raised(_sce_f_reference, theta, g, 0.3)
         assert (_raised(sdp_objective, g, theta)
                 == _raised(_sdp_objective_reference, g, theta))
+
+
+    def test_estimate_that_does_not_fit_the_graph(self):
+        # theta_hat and truth agree in length but are shorter than the
+        # graph: the gather fails in evaluate, before the theta0 check
+        short = GroundTruth(theta=self.truth.theta[:20], good_mask=np.ones(20, dtype=bool))
+        for theta0 in (DEFAULT_THETA0, np.nan):
+            args = (self.graph, short, _estimate(short.theta), 1e-6, theta0)
+            want = _raised(_evaluate_reference, *args)
+            assert want[0] is IndexError
+            assert _raised(evaluate, *args) == want
+
+
+class TestDeferredEdgeScores:
+    """evaluate computes rho1 and rho2; sce and sce_f wait for their first
+    read, share one gather then, and keep the values of the call."""
+
+    graph, truth = gen_complete(CompleteModelParams(n=40, p=0.5, seed=6))
+
+    @pytest.fixture
+    def gathers(self, monkeypatch):
+        calls = []
+        edge_diffs = angsync.core._edge_diffs
+
+        def spy(*args):
+            calls.append(args)
+            return edge_diffs(*args)
+
+        monkeypatch.setattr(angsync.core, "_edge_diffs", spy)
+        return calls
+
+    @pytest.mark.parametrize("first, second", [("sce", "sce_f"), ("sce_f", "sce")])
+    def test_one_gather_on_first_read(self, gathers, first, second):
+        est = estimate_eig(self.graph)
+        report = evaluate(self.graph, self.truth, est)
+        assert gathers == []
+        want = _evaluate_reference(self.graph, self.truth, est)
+        for name in (first, second, first):
+            assert _bits(getattr(report, name)) == _bits(getattr(want, name))
+        assert len(gathers) == 1
+        assert _report_bits(report) == _report_bits(want)
+        assert len(gathers) == 1
+
+    def test_estimate_changed_after_evaluate(self):
+        est = estimate_eig(self.graph)
+        before = evaluate(self.graph, self.truth, est)
+        want = _report_bits(before)  # read before the change
+        report = evaluate(self.graph, self.truth, est)
+        est.theta_hat[:] = 0
+        assert _report_bits(report) == want
+
+    def test_graph_held_until_read(self):
+        graph, truth = gen_complete(CompleteModelParams(n=20, p=0.5, seed=1))
+        est = _estimate(truth.theta + 1.0)
+        report = evaluate(graph, truth, est)
+        want = _report_bits(_evaluate_reference(graph, truth, est))
+        ref = weakref.ref(graph)
+        del graph
+        assert ref() is not None
+        assert _report_bits(report) == want
+        assert ref() is None
+
+    def test_repr_eq_and_hash_read_all_four(self, gathers):
+        est = estimate_eig(self.graph)
+        want = _evaluate_reference(self.graph, self.truth, est)
+        given = CorrelationReport(rho1=want.rho1, rho2=want.rho2, sce=want.sce,
+                                  sce_f=want.sce_f)
+        assert evaluate(self.graph, self.truth, est) == given
+        assert repr(evaluate(self.graph, self.truth, est)) == repr(given)
+        assert hash(evaluate(self.graph, self.truth, est)) == hash(given)
+        assert len(gathers) == 3
+        assert re.fullmatch(r"CorrelationReport\(rho1=\S+, rho2=\S+, sce=\d+, sce_f=\S+\)",
+                            repr(given))
+
+    def test_other_attributes_still_missing(self):
+        report = evaluate(self.graph, self.truth, estimate_eig(self.graph))
+        with pytest.raises(AttributeError, match="'CorrelationReport' object has no "
+                                                 "attribute 'sce_g'"):
+            report.sce_g
+        report.sce
+        with pytest.raises(AttributeError):
+            report._edges
 
 
 class TestReduceAngles:

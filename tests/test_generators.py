@@ -53,6 +53,29 @@ class TestParamValidation:
         with pytest.raises(InvalidInputError, match="need n >= 2, got 1"):
             build()
 
+    @pytest.mark.parametrize("make", [
+        pytest.param(lambda n, seed: CompleteModelParams(n=n, p=0.5, seed=seed), id="complete"),
+        pytest.param(lambda n, seed: SmallWorldParams(n=n, epsilon=0.3, p=0.5, seed=seed),
+                     id="small-world"),
+        pytest.param(lambda n, seed: ClockModelParams(n=n, edge_probability=0.5,
+                                                      sigma_good=0.1, outlier_fraction=0.0,
+                                                      outlier_scale=1.0, omega=1.0, seed=seed),
+                     id="clock"),
+    ])
+    @pytest.mark.parametrize("field, value", [("n", 10.0), ("n", 10.5), ("n", np.nan),
+                                              ("seed", 2.0), ("seed", 1.5), ("seed", np.nan)])
+    def test_non_integer_n_or_seed(self, make, field, value):
+        # an integral float is rejected too: it used to pass the check and
+        # fail in numpy with a TypeError
+        kwargs = {"n": 10, "seed": 2, field: value}
+        with pytest.raises(InvalidInputError, match=f"{field} must be an integer"):
+            make(**kwargs)
+
+    def test_numpy_integers_taken(self):
+        a = gen_complete(CompleteModelParams(n=np.int64(10), p=0.5, seed=np.uint64(2)))
+        b = gen_complete(CompleteModelParams(n=10, p=0.5, seed=2))
+        assert np.array_equal(a[0].delta, b[0].delta)
+
 
 class TestComplete:
     def test_all_good_when_p_one(self):
