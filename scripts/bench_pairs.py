@@ -22,7 +22,8 @@ outputs, so a record shows whether both sides computed the same thing),
 whether the two sides printed the same digests and, if not, which of the
 first round's digests differ; the number of pairs with the same digests;
 per metric the median and quartiles of each side, the number of pairs the
-working tree won and its `verdict` (see `verdict`, which also prints); and
+working tree won, whether its every run beat every run of the base, and its
+`verdict` (see `verdict`, which also prints); and
 the environment, taken once before the runs (CPU count, Python, numpy and
 scipy versions, both revisions, the paths where the
 working tree differs from its HEAD, and each tree's line count of
@@ -138,9 +139,11 @@ def summarize(pairs, gated):
         change = [p["change"]["metrics"][name] for p in pairs]
         won = sum((c > b) if better == "higher" else (c < b)
                   for b, c in zip(base, change))
+        all_better = (min(change) > max(base) if better == "higher"
+                      else max(change) < min(base))
         out[name] = {"better": better, "base": quartiles(base),
                      "change": quartiles(change), "pairs_won": won,
-                     "pairs": len(pairs)}
+                     "pairs": len(pairs), "all_runs_better": all_better}
         if out[name]["base"]["median"]:
             out[name]["median_ratio"] = (out[name]["change"]["median"]
                                          / out[name]["base"]["median"])
@@ -155,7 +158,8 @@ def verdict(summary: dict, bound: float) -> str:
       is better than the base's by more than the base's interquartile range;
     - "worse": its median is worse than the base's by more than the bound;
     - "unresolved": the base's interquartile range is wider than the bound,
-      so the runs spread too widely to tell;
+      so the runs spread too widely to tell, and some run of the change reads
+      no better than some run of the base;
     - "held": otherwise.
     """
     base, change = summary["base"], summary["change"]
@@ -168,7 +172,7 @@ def verdict(summary: dict, bound: float) -> str:
         return "gain"
     if -better > allowed:
         return "worse"
-    if spread > allowed:
+    if spread > allowed and not summary["all_runs_better"]:
         return "unresolved"
     return "held"
 

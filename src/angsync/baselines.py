@@ -123,20 +123,14 @@ def default_sdp_rank(n: int) -> int:
     return min(n, max(3, math.ceil(math.sqrt(2 * n))))
 
 
-def sdp_objective(graph: OffsetGraph, theta) -> float:
-    """Quadratic objective sum_ij conj(z_i) H_ij z_j at z = e^{i theta}.
-
-    Each edge and its conjugate mirror contribute 2 cos(delta_ij - theta_i +
-    theta_j), so the sum runs over the m stored edges without building H.
-    """
+def sdp_objective(H: SyncMatrix, theta) -> float:
+    """Quadratic form sum_ij conj(z_i) H_ij z_j at z = e^{i theta}, as
+    Re<z, Hz>: one product with H as given, any diagonal shift included."""
     th = np.asarray(theta, dtype=np.float64)
-    if th.size != graph.n:
+    if th.size != H.n:
         raise InvalidInputError("theta length != n")
-    x = th[graph.i]
-    np.subtract(graph.delta, x, out=x)
-    y = th[graph.j]
-    y += x  # th_j + (delta - th_i) is (delta - th_i) + th_j: IEEE addition commutes
-    return float(2.0 * np.sum(np.cos(y, out=y)))
+    z = np.exp(1j * th)
+    return float(np.vdot(z, H.matvec(z)).real)
 
 
 def _normalize_rows(V):

@@ -117,14 +117,24 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _load_truth(instance_path, file_mask):
-    """Planted angles from the sidecar, with the instance file's good mask."""
+def _load_truth(instance_path, file_mask, n: int):
+    """Planted angles from the sidecar, with the instance file's good mask;
+    None when there is no sidecar or it gives no theta.  The sidecar comes
+    from outside: unless it is a JSON object whose theta is a list of n
+    finite numbers, raises AngsyncError."""
     meta_path = _sidecar_path(instance_path)
-    if not meta_path.exists():
-        return None
-    theta = json.loads(meta_path.read_text()).get("theta")
+    try:  # integers read as floats, so one too large for a float reads inf
+        meta = json.loads(meta_path.read_text(), parse_int=float) if meta_path.exists() else {}
+    except ValueError as exc:  # bad JSON or bad UTF-8
+        raise AngsyncError(f"bad sidecar {meta_path}: {exc}") from None
+    if not isinstance(meta, dict):
+        raise AngsyncError(f"bad sidecar {meta_path}: not a JSON object")
+    theta = meta.get("theta")
     if theta is None:
         return None
+    if (not isinstance(theta, list) or len(theta) != n
+            or not all(type(x) is float for x in theta) or not np.isfinite(theta).all()):
+        raise AngsyncError(f"bad sidecar {meta_path}: theta is not a list of {n} finite numbers")
     return GroundTruth(theta=np.asarray(theta, dtype=float),
                        good_mask=np.asarray([] if file_mask is None else file_mask, dtype=bool))
 
@@ -143,26 +153,19 @@ def _options(method: str, given: dict, defaults: dict | None = None):
                       if flag in values})
 
 
-def _objective(H, theta) -> float:
-    """The quadratic objective sum_ij conj(z_i) H_ij z_j at z = e^{i theta},
-    as Re<z, Hz> on the unshifted H the estimate was solved on: one product
-    with H in place of a cosine per edge.  Its last bits can differ from the
-    per-edge sum's, which adds the same terms in another order."""
-    z = np.exp(1j * theta)
-    return float(np.vdot(z, H.matvec(z)).real)
-
-
 def cmd_solve(args) -> int:
+    """One method on an instance file, a bad sidecar failing first; the
+    objective is `baselines.sdp_objective` on the unshifted H, also under --shift."""
     opts = _options(args.method, {"--tol": args.tol, "--max-iters": args.max_iters,
                                   "--shift": args.shift, "--seed": args.seed})
     path = Path(args.instance)
     graph, mask = _read_instance(path)
-    truth = _load_truth(path, mask)
+    truth = _load_truth(path, mask, graph.n)
 
     H = eig.build_sync_matrix(graph)
     est = baselines.solve(graph, args.method, opts, H=H)
     converged = est.diagnostics["converged"]
-    objective = _objective(H, est.theta_hat)
+    objective = baselines.sdp_objective(H, est.theta_hat)
     del H  # held through `evaluate`, it would set the process's peak
 
     print(f"method={est.method_tag} n={graph.n} m={graph.m}")
@@ -183,11 +186,11 @@ def _sweep_task(task):
     """One (p, trial) cell of a sweep; returns its output row dicts, one per method.
 
     The instance's sync matrix is built once and shared by every method, so
-    a row's wall_ms leaves out the build, and its objective is taken on that
-    matrix.  A method that finds the matrix zero (an instance without edges)
-    gets a row with the instance and predictor columns, its solver columns
-    left empty, and the reason under "skipped"; the other methods and
-    instances go on."""
+    a row's wall_ms leaves out the build, and its objective is
+    `baselines.sdp_objective` on that matrix.  A method that finds the matrix
+    zero (an instance without edges) gets a row with the instance and
+    predictor columns, its solver columns left empty, and the reason under
+    "skipped"; the other methods and instances go on."""
     model, params, solvers, deterministic = task
     n, p, seed = params.n, params.p, params.seed
     graph, truth = _generate(params)
@@ -213,7 +216,7 @@ def _sweep_task(task):
         report = evaluate(graph, truth, est)
         rows.append({
             **row, "rho1": report.rho1, "rho2": report.rho2, "lambda1": est.top_eigval,
-            "objective": _objective(H, est.theta_hat),
+            "objective": baselines.sdp_objective(H, est.theta_hat),
             "iterations": est.iterations,
             "wall_ms": 0.0 if deterministic else est.diagnostics["wall_ms"],
         })
@@ -320,7 +323,7 @@ def cmd_spectrum(args) -> int:
     else:
         graph = _generate(_model_params(args, args.p, args.seed))[0]
     H = eig.build_sync_matrix(graph, args.shift)
-    values = spectra.full_spectrum(H, dense_limit=args.dense_limit)
+    values = spectra.full_spectrum(H)
 
     lines = [f"# schema_version={SCHEMA_VERSION}"]
     if args.hist:
@@ -416,7 +419,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_model_flags(spc)
     spc.add_argument("--shift", type=float, default=0.0)
     spc.add_argument("--hist", type=int, default=0, help="histogram bin count")
-    spc.add_argument("--dense-limit", type=int, default=spectra.DENSE_LIMIT)
     spc.add_argument("--out", default=None)
     spc.set_defaults(func=cmd_spectrum)
 

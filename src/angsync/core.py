@@ -54,7 +54,7 @@ class NoTrianglesError(AngsyncError):
 
 
 class TooLargeError(AngsyncError):
-    """Problem size exceeds the configured dense limit."""
+    """Problem size exceeds the dense limit (`spectra.DENSE_LIMIT`)."""
 
 
 def check_prob(name: str, value) -> None:
@@ -300,7 +300,10 @@ class GroundTruth:
     good_mask: np.ndarray
 
     def __post_init__(self):
-        theta = np.atleast_1d(reduce_angles(np.asarray(self.theta, dtype=np.float64))).copy()
+        theta = np.asarray(self.theta, dtype=np.float64)
+        if not np.isfinite(theta).all():
+            raise InvalidInputError("theta must be finite")
+        theta = np.atleast_1d(reduce_angles(theta)).copy()
         good = np.asarray(self.good_mask, dtype=bool).copy()
         if theta.ndim != 1 or good.ndim != 1:
             raise InvalidInputError("theta and good_mask must be 1-d")

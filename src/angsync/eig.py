@@ -147,7 +147,8 @@ def top_eigpair(H: SyncMatrix, tol: float = 1e-10, max_iters: int | None = None,
     the complex one and meets each eigenvalue once: k = 1 is exact, while a
     k > 1 call would return each value twice (so `spectra` stays on
     ``eigs``).  `ncv` is ``min(n + 1, 20)``, ``eigsh``'s default from
-    n = 20 on, so a tiny graph takes n + 3 applications, not 2n + 2.
+    n = 20 on, so a tiny graph takes n + 3 applications, not 2n + 2, from
+    n = 1 on (a multiple of the identity, as at n = 1, may take a few more).
     `max_iters` budgets applications of H, including the one explicit
     residual check on return: converged means ||Hv - lambda v|| <= tol *
     |lambda| with lambda the Rayleigh quotient at the returned unit v.  When
@@ -155,8 +156,7 @@ def top_eigpair(H: SyncMatrix, tol: float = 1e-10, max_iters: int | None = None,
     `iterations == max_iters`; its vector is the one of largest Rayleigh
     quotient among those H was applied to (at worst the start vector).  The
     start vector and ARPACK's restart draws come from a substream of `seed`,
-    so the same seed and H give the same eigenvector bit for bit.  For n < 3,
-    where ARPACK cannot take k = 1, the pair comes from a dense ``eigh``.
+    so the same seed and H give the same eigenvector bit for bit.
     """
     check_budget(tol, max_iters)
     check_seed(seed)
@@ -188,17 +188,14 @@ def top_eigpair(H: SyncMatrix, tol: float = 1e-10, max_iters: int | None = None,
             best_rq, best = rq, x.view(np.complex128) / math.sqrt(xx)
         return y
 
-    if H.n < 3:
-        v = np.linalg.eigh(H.to_dense())[1][:, -1]
-    else:
-        op = LinearOperator((2 * H.n, 2 * H.n), matvec=counted_matvec, dtype=np.float64)
-        try:
-            _, vecs = eigsh(op, k=1, which="LA", v0=v.view(np.float64),
-                            ncv=min(H.n + 1, 20), tol=tol, maxiter=max_iters, rng=rng)
-            v = vecs[:, 0].view(np.complex128)
-            v = v / np.linalg.norm(v)
-        except (_BudgetSpent, ArpackNoConvergence):
-            v = best
+    op = LinearOperator((2 * H.n, 2 * H.n), matvec=counted_matvec, dtype=np.float64)
+    try:
+        _, vecs = eigsh(op, k=1, which="LA", v0=v.view(np.float64),
+                        ncv=min(H.n + 1, 20), tol=tol, maxiter=max_iters, rng=rng)
+        v = vecs[:, 0].view(np.complex128)
+        v = v / np.linalg.norm(v)
+    except (_BudgetSpent, ArpackNoConvergence):
+        v = best
 
     w = H.matvec(v)
     lam = float(np.vdot(v, w).real)

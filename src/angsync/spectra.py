@@ -30,11 +30,11 @@ DENSE_LIMIT = 5000
 ARPACK_TOL = 1e-10
 
 
-def full_spectrum(H: SyncMatrix, dense_limit: int = DENSE_LIMIT) -> np.ndarray:
+def full_spectrum(H: SyncMatrix) -> np.ndarray:
     """All eigenvalues of the Hermitian matrix, descending, by dense
-    eigendecomposition.  Refuses sizes above `dense_limit`."""
-    if H.n > dense_limit:
-        raise TooLargeError(f"n={H.n} exceeds dense limit {dense_limit}")
+    eigendecomposition.  Refuses n above `DENSE_LIMIT` (read at the call)."""
+    if H.n > DENSE_LIMIT:
+        raise TooLargeError(f"n={H.n} exceeds dense limit {DENSE_LIMIT}")
     return np.linalg.eigvalsh(H.to_dense())[::-1]
 
 
@@ -83,11 +83,11 @@ def histogram(values, bins: int):
 
 def cluster_sizes(values, rel_gap: float = 0.10) -> list[int]:
     """Group a descending eigenvalue list into clusters, splitting wherever a
-    consecutive gap exceeds rel_gap times the largest value."""
+    consecutive gap exceeds rel_gap times the largest value's magnitude."""
     vals = np.asarray(values, dtype=np.float64)
     if vals.size == 0:
         return []
-    threshold = rel_gap * vals[0]
+    threshold = rel_gap * abs(vals[0])
     sizes = []
     current = 1
     for k in range(1, vals.size):

@@ -407,7 +407,7 @@ class TestSdp:
                                                         seed=20 + seed))
             est, _ = estimate_sdp(graph, SdpOptions(seed=seed))
             f = est.diagnostics["objective"]
-            rounded = sdp_objective(graph, est.theta_hat)
+            rounded = sdp_objective(build_sync_matrix(graph), est.theta_hat)
             assert f >= rounded - 1e-6 * max(1.0, abs(f))
 
     def test_mid_noise_reference_correlation(self):
@@ -492,11 +492,12 @@ class TestSdpPinned:
 class TestSdpObjective:
     def test_planted_on_all_good(self):
         graph, truth = gen_complete(CompleteModelParams(n=12, p=1.0, seed=2))
-        assert sdp_objective(graph, truth.theta) == pytest.approx(2.0 * graph.m)
+        assert sdp_objective(build_sync_matrix(graph), truth.theta) == pytest.approx(
+            2.0 * graph.m)
 
     def test_single_flipped_edge(self):
         g = OffsetGraph(n=2, i=[0], j=[1], delta=[np.pi])
-        assert sdp_objective(g, np.zeros(2)) == pytest.approx(-2.0)
+        assert sdp_objective(build_sync_matrix(g), np.zeros(2)) == pytest.approx(-2.0)
 
     def test_random_assignment_on_outliers_cancels(self):
         # sum of m random unit phasors has modulus O(sqrt(m)) << m
@@ -504,13 +505,13 @@ class TestSdpObjective:
         for seed in range(5):
             graph, _ = gen_complete(CompleteModelParams(n=100, p=0.0, seed=40 + seed))
             theta = rng.uniform(0, TWO_PI, 100)
-            val = sdp_objective(graph, theta)
+            val = sdp_objective(build_sync_matrix(graph), theta)
             assert abs(val) <= 10.0 * np.sqrt(graph.m)
 
     def test_length_mismatch(self):
         g = OffsetGraph(n=2, i=[0], j=[1], delta=[0.0])
         with pytest.raises(InvalidInputError):
-            sdp_objective(g, np.zeros(3))
+            sdp_objective(build_sync_matrix(g), np.zeros(3))
 
 
 def exhaustive_grid_max(graph, levels=64):

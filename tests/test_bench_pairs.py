@@ -310,6 +310,22 @@ class TestVerdict:
         assert bench_pairs.verdict(_summary(base, change), 0.25) == "unresolved"
         assert bench_pairs.verdict(_summary(base, change), 0.6) == "held"
 
+    @pytest.mark.parametrize("better, base, change", [
+        ("lower", [10.0] * 5 + [10.2, 14.0, 16.0, 18.0, 20.0], [9.0 + 0.1 * k for k in range(10)]),
+        ("higher", [0.0, 2.0, 4.0, 6.0, 9.8] + [10.0] * 5, [10.1 + 0.1 * k for k in range(10)]),
+    ])
+    def test_held_when_every_change_run_beats_every_base_run(self, better, base, change):
+        # the base's IQR (5.5) is wider than the bound, and the medians are
+        # closer than it, so no gain; but no run of the change overlaps the base
+        s = _summary(base, change, better)
+        assert s["all_runs_better"]
+        assert bench_pairs.verdict(s, 0.25) == "held"
+        worst = change.index(max(change) if better == "lower" else min(change))
+        change[worst] = min(base) if better == "lower" else max(base)  # one tie
+        s = _summary(base, change, better)
+        assert not s["all_runs_better"]
+        assert bench_pairs.verdict(s, 0.25) == "unresolved"
+
     def test_worse_wins_over_unresolved(self):
         base = [5.0, 6.0, 8.0, 9.0, 10.0, 11.0, 12.0, 14.0, 15.0, 16.0]
         change = [b + 5.0 for b in base]

@@ -20,6 +20,7 @@ from angsync.core import (
     read_instance,
     write_instance,
 )
+from test_core import _sdp_objective_reference
 
 
 _PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -168,6 +169,40 @@ class TestSolve:
         text = capsys.readouterr().out
         assert "rho1" not in text
         assert "lambda1" in text
+
+    @pytest.mark.parametrize("edit, reason", [
+        (lambda text, meta: text[:len(text) // 2], "line 1 column"),
+        (lambda text, meta: json.dumps([meta]), "not a JSON object"),
+        (lambda text, meta: json.dumps({**meta, "theta": "abc"}), "theta is not a list"),
+        (lambda text, meta: json.dumps({**meta, "theta": [float("nan")] + meta["theta"][1:]}),
+         "theta is not a list"),
+        (lambda text, meta: json.dumps({**meta, "theta": meta["theta"][:-1]}),
+         "theta is not a list of 8 finite numbers"),
+        (lambda text, meta: json.dumps({**meta, "theta": [True] + meta["theta"][1:]}),
+         "theta is not a list"),
+        (lambda text, meta: json.dumps({**meta, "theta": ["1.5"] + meta["theta"][1:]}),
+         "theta is not a list"),
+        (lambda text, meta: json.dumps({**meta, "theta": ["big"] + meta["theta"][1:]}).replace(
+            '"big"', "1" * 400), "theta is not a list"),
+    ], ids=["truncated", "top-level-list", "theta-string", "theta-nan", "theta-short",
+            "theta-bool", "theta-numeral", "theta-int-beyond-float"])
+    def test_bad_sidecar_exits_2_before_solving(self, tmp_path, capsys, monkeypatch,
+                                                edit, reason):
+        # the sidecar comes from outside: one error line, nothing solved
+        out = tmp_path / "inst.txt"
+        run(["generate", "--model", "complete", "--n", "8", "--p", "1",
+             "--seed", "2", "--out", str(out)])
+        meta_path = tmp_path / "inst.txt.meta.json"
+        text = meta_path.read_text()
+        meta_path.write_text(edit(text, json.loads(text)))
+        solved = []
+        monkeypatch.setattr(baselines, "solve", lambda *args, **kwargs: solved.append(args))
+        capsys.readouterr()
+        assert run(["solve", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and solved == []
+        assert captured.err.startswith(f"error: bad sidecar {meta_path}: ")
+        assert captured.err.count("\n") == 1 and reason in captured.err
 
     def test_strict_nonconvergence_exits_3(self, tmp_path, capsys):
         out = tmp_path / "inst.txt"
@@ -398,9 +433,9 @@ def _objective_graphs():
 
 
 class TestObjective:
-    """solve and sweep take the objective as Re<z, Hz> on the H they built,
-    which agrees with the per-edge cosine sum `sdp_objective` but for the
-    last bits."""
+    """solve and sweep take the objective as `sdp_objective`, Re<z, Hz> on the
+    H they built, which agrees with the per-edge cosine sum but for the last
+    bits."""
 
     @pytest.mark.parametrize("kind", ["complete", "small-world", "clock", "edgeless"])
     def test_agrees_with_sdp_objective(self, kind):
@@ -409,8 +444,8 @@ class TestObjective:
         assert (H._dense is not None) == dense  # both operands are covered
         rng = np.random.default_rng(3)
         for theta in (np.zeros(graph.n), rng.uniform(0.0, 2 * np.pi, graph.n)):
-            f = baselines.sdp_objective(graph, theta)
-            got = cli._objective(H, theta)
+            f = _sdp_objective_reference(graph, theta)
+            got = baselines.sdp_objective(H, theta)
             if graph.m == 0:
                 assert got == f == 0.0
             else:
@@ -435,8 +470,35 @@ class TestObjective:
         capsys.readouterr()
         assert run(["solve", str(out), "--method", method, *extra]) == 0
         graph = read_instance(out)[0]
-        objective = baselines.sdp_objective(graph, estimates[0].theta_hat)
+        objective = baselines.sdp_objective(eig.build_sync_matrix(graph),
+                                            estimates[0].theta_hat)
         assert f" objective={objective:.6f} " in capsys.readouterr().out
+
+    def test_sweep_and_solve_call_sdp_objective(self, tmp_path, monkeypatch):
+        # through the module attribute, once a row and once a solve, on the
+        # unshifted H the estimate was solved on
+        calls, values = [], []
+        objective = baselines.sdp_objective
+
+        def counted(H, theta):
+            calls.append(H)
+            values.append(objective(H, theta))
+            return values[-1]
+
+        monkeypatch.setattr(baselines, "sdp_objective", counted)
+        sweep = tmp_path / "sw.csv"
+        assert run(["sweep", "--n", "60", "--p", "0.5,0.2", "--trials", "2",
+                    "--method", "eig,lsqr", "--out", str(sweep)]) == 0
+        rows = read_csv(sweep)
+        assert len(calls) == len(rows) == 8
+        assert [float(r["objective"]) for r in rows] == values
+        assert all(H is H2 for H, H2 in zip(calls[::2], calls[1::2]))  # one H an instance
+        calls.clear()
+        inst = tmp_path / "inst.txt"
+        run(["generate", "--model", "complete", "--n", "60", "--p", "0.5",
+             "--seed", "3", "--out", str(inst)])
+        assert run(["solve", str(inst), "--shift", "2"]) == 0
+        assert len(calls) == 1 and calls[0].diagonal_shift == 0.0
 
     @pytest.mark.parametrize("method", ["eig", "lsqr", "sdp"])
     def test_solve_drops_h_before_evaluate(self, tmp_path, monkeypatch, method):
@@ -814,6 +876,13 @@ class TestSpectrum:
         out = tmp_path / "spec.csv"
         assert run(["spectrum", "--in", str(inst), "--out", str(out)]) == 0
         assert len(read_csv(out)) == 10
+
+    def test_dense_limit_is_no_flag(self, tmp_path, capsys):
+        out = tmp_path / "spec.csv"
+        assert run(["spectrum", "--model", "complete", "--n", "12", "--p", "1",
+                    "--dense-limit", "10", "--out", str(out)]) == 2
+        assert "unrecognized arguments: --dense-limit 10" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("shift", ["nan", "inf"])
     def test_non_finite_shift_exits_2(self, tmp_path, capsys, shift):

@@ -247,13 +247,27 @@ class TestTopEigpair:
         assert abs(res.eigval - lam) <= 1e-12 * abs(lam)
         assert abs(np.vdot(v, res.eigvec)) >= 1 - 1e-12
 
-    @pytest.mark.parametrize("n", [4, 10])
-    def test_tiny_graph_applications(self, n):
-        # ncv = n + 1 below n = 19: n + 2 products and the residual check
-        graph, _ = gen_complete(CompleteModelParams(n=n, p=0.5, seed=1))
-        res = top_eigpair(build_sync_matrix(graph), tol=1e-10, seed=0)
+    @pytest.mark.parametrize("n, shift", [(1, 0.7), (1, -0.4), (2, 0.0), (2, 1.5), (4, 0.0),
+                                          (10, 0.0)],
+                             ids=["1-shift0.7", "1-shift-0.4", "2", "2-shift1.5", "4", "10"])
+    def test_tiny_graph_applications(self, n, shift, monkeypatch):
+        # ncv = n + 1 below n = 19: n + 2 products and the residual check;
+        # the real form's 2n rows take k = 1 from n = 1, with no dense solve
+        graph = (gen_complete(CompleteModelParams(n=n, p=0.5, seed=1))[0] if n > 1
+                 else OffsetGraph(n=1, i=[], j=[], delta=[]))
+        H = build_sync_matrix(graph, diagonal_shift=shift)
+        want = np.linalg.eigvalsh(H.to_dense())[-1]
+
+        def no_eigh(*args, **kwargs):
+            raise AssertionError("dense eigh called")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+        res = top_eigpair(H, tol=1e-10, seed=0)
         assert res.converged
-        assert res.iterations == n + 3
+        # at n = 1, H = shift I: every vector is an eigenvector, and the
+        # count depends on ARPACK's draws (n + 4 at shift 0.7 with seed 0)
+        assert res.iterations in ((n + 3, n + 4) if n == 1 else (n + 3,))
+        assert abs(res.eigval - want) <= 1e-12 * max(1.0, abs(want))
 
     @pytest.mark.parametrize("n,p,seed", [(5, 1.0, 1), (8, 0.7, 2), (12, 0.7, 3)])
     def test_oracle_equivalence_dense(self, n, p, seed):

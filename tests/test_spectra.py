@@ -72,10 +72,12 @@ class TestFullSpectrum:
             hits += w[0] < 1.05 * edge
         assert hits >= 8
 
-    def test_too_large_rejected(self):
+    def test_too_large_rejected(self, monkeypatch):
+        # the limit is read at the call
         graph, _ = gen_complete(CompleteModelParams(n=30, p=1.0, seed=0))
-        with pytest.raises(TooLargeError):
-            full_spectrum(build_sync_matrix(graph), dense_limit=10)
+        monkeypatch.setattr(angsync.spectra, "DENSE_LIMIT", 10)
+        with pytest.raises(TooLargeError, match="n=30 exceeds dense limit 10"):
+            full_spectrum(build_sync_matrix(graph))
 
 
 class TestTopK:
@@ -273,3 +275,8 @@ class TestClusterSizes:
 
     def test_empty(self):
         assert cluster_sizes([]) == []
+
+    def test_negative_top_value(self):
+        # the gap is measured against |top value|: equal values stay together
+        assert cluster_sizes([-1.0, -1.0, -1.0]) == [3]
+        assert cluster_sizes([-1.0, -1.05, -2.0], rel_gap=0.10) == [2, 1]
